@@ -17,7 +17,7 @@ report, rounds = nhtpt_solve(inst, model, SolverConfig(s=1), tuning)
 
 print("doubling schedule: s = 1, 2, 4, 8, ...")
 print(f"accepted after {rounds} round(s) at budget s = "
-      f"{report.support.capacity}")
+      f"{report.support.size}")
 print(f"objective = {report.objective:.3e}, "
       f"true nonzeros = {support_count(report.x)}")
 print("note the accepted budget can exceed the true sparsity; the extra")

@@ -8,9 +8,9 @@ its command line in cli.
 """
 
 from .bench import ExperimentSpec, GridPoint, run_experiment
-from .core import (IndexSet, LcpInstance, SingularError, SolveReport,
-                   SolverConfig, Termination, dense_solve, load_instance,
-                   save_instance, top_s_by_magnitude)
+from .core import (LcpInstance, SingularError, SolveReport, SolverConfig,
+                   Termination, dense_solve, load_instance, save_instance,
+                   top_s_by_magnitude)
 from .lemke import PivotLimit, RayTermination, Tableau, lemke_solve
 from .merit import (MeritEval, MeritModel, merit_gradient, merit_hessian,
                     merit_value, phi_r_grad_scalar, phi_r_scalar)
@@ -23,9 +23,9 @@ from .tuning import TuningConfig, lemke_seeded_s, nhtpt_solve, support_count
 
 __all__ = [
     "ExperimentSpec", "GridPoint", "run_experiment",
-    "IndexSet", "LcpInstance", "SingularError", "SolveReport",
-    "SolverConfig", "Termination", "dense_solve", "load_instance",
-    "save_instance", "top_s_by_magnitude",
+    "LcpInstance", "SingularError", "SolveReport", "SolverConfig",
+    "Termination", "dense_solve", "load_instance", "save_instance",
+    "top_s_by_magnitude",
     "PivotLimit", "RayTermination", "Tableau", "lemke_solve",
     "MeritEval", "MeritModel", "merit_gradient", "merit_hessian",
     "merit_value", "phi_r_grad_scalar", "phi_r_scalar",

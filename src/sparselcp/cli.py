@@ -81,15 +81,19 @@ def _add_solver_flags(p, with_s=True):
     p.add_argument("--maxiter", type=int, help="iteration cap")
 
 
+def _print_nonzeros(x):
+    nz = np.nonzero(x)[0]
+    print(f"nonzeros:    {nz.size}")
+    for i in nz:
+        print(f"x[{i + 1}] = {_fmt(x[i])}")
+
+
 def _print_report(inst, report):
     print(f"termination: {report.termination.value}")
     print(f"objective:   {report.objective:.6e}")
     print(f"residual:    {report.residual:.6e}")
     print(f"iterations:  {report.iterations}")
-    nz = np.nonzero(report.x)[0]
-    print(f"nonzeros:    {nz.size}")
-    for i in nz:
-        print(f"x[{i + 1}] = {_fmt(report.x[i])}")
+    _print_nonzeros(report.x)
     if inst.ground_truth is not None:
         err = (np.linalg.norm(report.x - inst.ground_truth)
                / np.linalg.norm(inst.ground_truth))
@@ -136,7 +140,7 @@ def _cmd_tune(args):
     report, rounds = nhtpt_solve(inst, _merit_from(args),
                                  _solver_config(args, 1), tuning)
     print(f"rounds:      {rounds}")
-    print(f"final s:     {report.support.capacity}")
+    print(f"final s:     {report.support.size}")
     _print_report(inst, report)
     return 2 if report.termination is Termination.LINE_SEARCH_FAILED else 0
 
@@ -148,10 +152,7 @@ def _cmd_lemke(args):
     f2 = merit_value(MeritModel.phi_r(2), inst, x).value
     print(f"pivots:      {pivots}")
     print(f"f2:          {f2:.6e}")
-    nz = np.nonzero(x)[0]
-    print(f"nonzeros:    {nz.size}")
-    for i in nz:
-        print(f"x[{i + 1}] = {_fmt(x[i])}")
+    _print_nonzeros(x)
     return 0
 
 

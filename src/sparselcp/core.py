@@ -1,8 +1,8 @@
 """Core types and small numerical utilities shared by all solvers.
 
 Conventions: vectors are 1-d float64 numpy arrays, matrices are dense 2-d
-float64 arrays.  Index sets are kept 0-based internally; file formats and
-logs that surface indices to users print them 1-based.
+float64 arrays.  Index sets are sorted 0-based np.intp arrays; file
+formats and logs that surface indices to users print them 1-based.
 """
 
 import enum
@@ -15,45 +15,6 @@ import scipy.linalg
 
 class SingularError(Exception):
     """A pivot fell below the singularity threshold during factorization."""
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """A sorted set of coordinate indices with a sparsity budget.
-
-    indices : strictly increasing tuple of 0-based coordinates
-    capacity : the budget s; len(indices) <= capacity
-    """
-
-    indices: tuple
-    capacity: int
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if self.capacity < 0:
-            raise ValueError("capacity must be nonnegative")
-        if len(idx) > self.capacity:
-            raise ValueError("more indices than capacity")
-        if any(i < 0 for i in idx):
-            raise ValueError("indices must be nonnegative")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly increasing")
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __contains__(self, i):
-        return i in set(self.indices)
-
-    def as_array(self):
-        return np.array(self.indices, dtype=np.intp)
-
-    def complement(self, n):
-        """0-based indices in range(n) not in this set."""
-        mask = np.ones(n, dtype=bool)
-        mask[list(self.indices)] = False
-        return np.nonzero(mask)[0]
 
 
 def _frozen_array(a, dtype=np.float64):
@@ -161,12 +122,12 @@ class Termination(enum.Enum):
 class SolveReport:
     """Outcome of one solver run.
 
-    support holds the working set that produced x, so supp(x) is always
-    contained in it.  f_trace records the objective at x^0, x^1, ...
+    support holds the working set that produced x, a sorted index array of
+    length s, so supp(x) is always contained in it.  f_trace records the objective at x^0, x^1, ...
     """
 
     x: np.ndarray
-    support: IndexSet
+    support: np.ndarray
     objective: float
     residual: float
     iterations: int
@@ -204,7 +165,7 @@ def dense_solve(A, b):
 def top_s_by_magnitude(z, s):
     """Indices of the s largest |z_i|, ties won by the lowest index.
 
-    Returns an IndexSet (sorted ascending) with capacity s.
+    Returns exactly s indices as a sorted np.intp array.
     """
     z = np.asarray(z)
     n = z.shape[0]
@@ -212,7 +173,7 @@ def top_s_by_magnitude(z, s):
         raise ValueError("s out of range")
     # stable sort on -|z| resolves ties toward lower indices
     order = np.argsort(-np.abs(z), kind="stable")[:s]
-    return IndexSet(tuple(np.sort(order)), s)
+    return np.sort(order)
 
 
 def _fmt(v):

@@ -39,7 +39,6 @@ class Tableau:
 
     basis: list
     body: np.ndarray
-    driving: int = -1
 
     @staticmethod
     def initial(M, q):

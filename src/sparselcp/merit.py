@@ -34,8 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexSet
-
 KINDS = ("phi_r", "fb", "min", "psi2")
 
 
@@ -81,7 +79,6 @@ class MeritEval:
 
     value: float
     y: np.ndarray
-    gradient: np.ndarray = None
 
 
 def _parts(a):
@@ -225,12 +222,6 @@ def merit_gradient(model, inst, x, y=None):
     return gradient_from_xy(model, inst.M, x, y)
 
 
-def _as_indices(sel):
-    if isinstance(sel, IndexSet):
-        return sel.as_array()
-    return np.asarray(sel, dtype=np.intp)
-
-
 def merit_hessian(model, inst, x, rows, cols, y=None):
     """The |rows| x |cols| block of the merit Hessian at x.
 
@@ -242,8 +233,8 @@ def merit_hessian(model, inst, x, rows, cols, y=None):
     M = inst.M
     if y is None:
         y = M @ x + inst.q
-    R = _as_indices(rows)
-    C = _as_indices(cols)
+    R = np.asarray(rows, dtype=np.intp)
+    C = np.asarray(cols, dtype=np.intp)
     haa, hab, hbb = _hess_terms(model, x, y)
     MC = M[:, C]
     H = M[:, R].T @ (hbb[:, None] * MC)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import merit as mer
-from .core import (IndexSet, SingularError, SolveReport, Termination,
-                   dense_solve, top_s_by_magnitude)
+from .core import (SingularError, SolveReport, Termination, dense_solve,
+                   top_s_by_magnitude)
 
 logger = logging.getLogger("sparselcp.nhtp")
 
@@ -39,19 +39,18 @@ logger = logging.getLogger("sparselcp.nhtp")
 class IterateState:
     """One solver iterate: the point, its working sets and derivatives.
 
-    support is the current selection T_k; prev_support the set T_{k-1}
-    whose coordinates may still be nonzero in x.  eta is the threshold
-    step in effect for this iterate; None means the configured default.
+    support is the current selection T_k and prev_support the set T_{k-1}
+    whose coordinates may still be nonzero in x, both sorted index arrays.
+    eta is the threshold step in effect for this iterate.
     """
 
     x: np.ndarray
     y: np.ndarray
-    support: IndexSet
-    prev_support: IndexSet
+    support: np.ndarray
+    prev_support: np.ndarray
     value: float
     grad: np.ndarray
-    k: int
-    eta: float = None
+    eta: float
 
 
 def select_support(x, grad, eta, s):
@@ -59,7 +58,7 @@ def select_support(x, grad, eta, s):
     return top_s_by_magnitude(x - eta * grad, s)
 
 
-def _tolerance(x, grad, T, eta, s):
+def residual(x, grad, T, eta, s):
     """Stationarity residual of x relative to the working set T.
 
     The first part stacks grad on T with x off T; the second part charges
@@ -68,21 +67,14 @@ def _tolerance(x, grad, T, eta, s):
     stationarity conditions.
     """
     n = x.shape[0]
-    t = T.as_array()
     mask = np.zeros(n, dtype=bool)
-    mask[t] = True
-    first = np.sqrt(np.sum(grad[t] ** 2) + np.sum(x[~mask] ** 2))
+    mask[T] = True
+    first = np.sqrt(np.sum(grad[T] ** 2) + np.sum(x[~mask] ** 2))
     if s >= n:
         return first
     xs = np.partition(np.abs(x), n - s)[n - s]
     slack = np.abs(grad[~mask]).max() - xs / eta
     return first + max(slack, 0.0)
-
-
-def residual(state, model, inst, config):
-    """Stationarity residual at the state's point and working set."""
-    eta = state.eta if state.eta is not None else config.eta_for(inst.n)
-    return _tolerance(state.x, state.grad, state.support, eta, config.s)
 
 
 def newton_direction(state, model, inst, config):
@@ -93,12 +85,9 @@ def newton_direction(state, model, inst, config):
     None if the system is singular or d fails the descent margin test
         <grad_T, d_T> <= -gamma ||d||^2 + ||x_offT||^2 / (4 eta).
     """
-    x, y, g = state.x, state.y, state.grad
-    n = x.shape[0]
-    eta = state.eta if state.eta is not None else config.eta_for(n)
-    t = state.support.as_array()
+    x, y, g, t = state.x, state.y, state.grad, state.support
     rhs = -g[t]
-    j = np.setdiff1d(state.prev_support.as_array(), t)
+    j = np.setdiff1d(state.prev_support, t)
     if j.size:
         xj = x[j]
         if np.any(xj != 0.0):
@@ -109,9 +98,11 @@ def newton_direction(state, model, inst, config):
         return None
     d = -x.copy()
     d[t] = dt
-    off_sq = float(np.sum(x[state.support.complement(n)] ** 2))
+    off = np.ones(x.shape[0], dtype=bool)
+    off[t] = False
+    off_sq = float(np.sum(x[off] ** 2))
     gamma = config.gamma_inactive if off_sq == 0.0 else config.gamma_active
-    if np.dot(g[t], dt) <= -gamma * np.dot(d, d) + off_sq / (4.0 * eta):
+    if np.dot(g[t], dt) <= -gamma * np.dot(d, d) + off_sq / (4.0 * state.eta):
         return d
     return None
 
@@ -119,8 +110,7 @@ def newton_direction(state, model, inst, config):
 def fallback_direction(state):
     """Restricted steepest descent: -grad on T, -x off T."""
     d = -state.x.copy()
-    t = state.support.as_array()
-    d[t] = -state.grad[t]
+    d[state.support] = -state.grad[state.support]
     return d
 
 
@@ -132,7 +122,7 @@ def line_search(state, direction, model, inst, config):
     (alpha, x_new, y_new, f_new, t) or None when every alpha fails.
     """
     x, g, f = state.x, state.grad, state.value
-    t_idx = state.support.as_array()
+    t_idx = state.support
     slope = float(np.dot(g, direction))
     cols = inst.M[:, t_idx]
     xt = x[t_idx]
@@ -152,17 +142,18 @@ def line_search(state, direction, model, inst, config):
 
 def _initial_supports(x, s, n):
     """Trim x to its s largest magnitudes if needed, and build a starting
-    working set covering supp(x), completed with the lowest free indices."""
+    working set of s sorted indices covering supp(x), completed with the
+    lowest free indices."""
     supp = np.nonzero(x)[0]
     if supp.size > s:
-        keep = top_s_by_magnitude(x, s).as_array()
+        keep = top_s_by_magnitude(x, s)
         trimmed = np.zeros_like(x)
         trimmed[keep] = x[keep]
         x, supp = trimmed, keep
     if supp.size < s:
         free = np.setdiff1d(np.arange(n), supp)[: s - supp.size]
         supp = np.union1d(supp, free)
-    return x, IndexSet(tuple(np.sort(supp)), s)
+    return x, supp
 
 
 def solve(inst, model, config, x0=None, callback=None):
@@ -203,14 +194,14 @@ def solve(inst, model, config, x0=None, callback=None):
     k = 0
     while True:
         T = select_support(x, g, eta, s)
-        res = _tolerance(x, g, T, eta, s)
+        res = residual(x, g, T, eta, s)
         if res <= config.tol:
             termination = Termination.RESIDUAL_MET
             break
         if k >= config.max_iter:
             termination = Termination.ITERATION_CAP
             break
-        state = IterateState(x, y, T, prev_T, f, g, k, eta)
+        state = IterateState(x, y, T, prev_T, f, g, eta)
         d = newton_direction(state, model, inst, config)
         used_newton = d is not None
         if d is None:
@@ -239,7 +230,7 @@ def solve(inst, model, config, x0=None, callback=None):
         if stalled:
             termination = Termination.OBJECTIVE_STALLED
             T = select_support(x, g, eta, s)
-            res = _tolerance(x, g, T, eta, s)
+            res = residual(x, g, T, eta, s)
             break
     wall = time.perf_counter() - t_start
     logger.info("solve end: %s iters=%d f=%.6e res=%.3e time=%.3fs",

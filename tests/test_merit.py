@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sparselcp.core import IndexSet, LcpInstance
+from sparselcp.core import LcpInstance
 from sparselcp.merit import (KINDS, MeritModel, gradient_from_xy,
                              merit_gradient, merit_hessian, merit_value,
                              phi_r_grad_scalar, phi_r_scalar, value_from_xy)
@@ -189,11 +189,6 @@ def test_restricted_block_agrees_with_full_hessian():
         C = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         block = merit_hessian(model, inst, x, R, C)
         assert np.allclose(block, full[np.ix_(R, C)], atol=1e-12)
-    # IndexSet selectors behave like plain index arrays
-    rs = IndexSet((0, 3, 4), 5)
-    via_set = merit_hessian(model, inst, x, rs, rs)
-    via_arr = merit_hessian(model, inst, x, rs.as_array(), rs.as_array())
-    assert np.array_equal(via_set, via_arr)
 
 
 def test_quadratic_kernel_kink_curvature_selection():

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from sparselcp.core import (IndexSet, LcpInstance, SolverConfig, Termination)
+from sparselcp.core import (LcpInstance, SolverConfig, Termination,
+                            top_s_by_magnitude)
 from sparselcp.merit import MeritModel, merit_gradient, merit_value
 from sparselcp.nhtp import (IterateState, fallback_direction, line_search,
                             newton_direction, residual, select_support, solve)
 from sparselcp.problems import GeneratorSpec, generate, is_success
+from sparselcp.tuning import TuningConfig, nhtpt_solve
 
 PHI2 = MeritModel.phi_r(2)
 
@@ -17,9 +19,9 @@ def one_dim_state(M_val, q_val, x_val, eta=5.0, s=1):
     x = np.array([float(x_val)])
     ev = merit_value(PHI2, inst, x)
     g = merit_gradient(PHI2, inst, x, y=ev.y)
-    T = IndexSet((0,), s)
+    T = np.arange(s)
     return inst, IterateState(x=x, y=ev.y, support=T, prev_support=T,
-                              value=ev.value, grad=g, k=0, eta=eta)
+                              value=ev.value, grad=g, eta=eta)
 
 
 def test_newton_direction_worked_example():
@@ -33,21 +35,16 @@ def test_newton_direction_worked_example():
 
 def test_residual_worked_example():
     # full support (s = n): residual is just the gradient norm
-    inst, state = one_dim_state(2.0, -3.0, 2.0)
-    assert residual(state, PHI2, inst, SolverConfig(s=1)) == 10.0
+    _, state = one_dim_state(2.0, -3.0, 2.0)
+    assert residual(state.x, state.grad, state.support, state.eta, 1) == 10.0
 
 
 def test_residual_off_support_charge():
     # x = (2, 0.5, 0), grad = (0, 0, 1), T = {0, 1}, eta = 5, s = 2:
     # the stacked part vanishes and the off-support charge is
     # |grad_2| - x_(2)/eta = 1 - 0.5/5 = 0.9
-    inst = LcpInstance(np.eye(3), np.zeros(3))
-    state = IterateState(x=np.array([2.0, 0.5, 0.0]), y=np.zeros(3),
-                         support=IndexSet((0, 1), 2),
-                         prev_support=IndexSet((0, 1), 2),
-                         value=0.0, grad=np.array([0.0, 0.0, 1.0]), k=0,
-                         eta=5.0)
-    res = residual(state, PHI2, inst, SolverConfig(s=2))
+    res = residual(np.array([2.0, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]),
+                   np.array([0, 1]), 5.0, 2)
     assert res == pytest.approx(0.9, abs=1e-15)
 
 
@@ -55,16 +52,15 @@ def test_select_support_uses_gradient_step():
     # x - eta*grad = (1, 5, 0) so the single slot goes to index 1
     T = select_support(np.array([1.0, 0.0, 0.0]),
                        np.array([0.0, -1.0, 0.0]), 5.0, 1)
-    assert T.indices == (1,)
-    assert T.capacity == 1
+    assert T.tolist() == [1]
+    assert T.size == 1
 
 
 def test_fallback_direction_shape():
     inst = LcpInstance(np.eye(2), np.zeros(2))
     state = IterateState(x=np.array([2.0, 1.0]), y=np.zeros(2),
-                         support=IndexSet((0,), 1),
-                         prev_support=IndexSet((0, 1), 2),
-                         value=0.0, grad=np.array([10.0, 7.0]), k=0, eta=5.0)
+                         support=np.array([0]), prev_support=np.array([0, 1]),
+                         value=0.0, grad=np.array([10.0, 7.0]), eta=5.0)
     d = fallback_direction(state)
     assert d.tolist() == [-10.0, -1.0]
 
@@ -77,9 +73,9 @@ def test_line_search_accepts_descent_and_rejects_ascent():
     ev = merit_value(PHI2, inst, x)
     g = merit_gradient(PHI2, inst, x, y=ev.y)
     assert ev.value == 0.5 and g[0] == 2.0
-    T = IndexSet((0,), 1)
+    T = np.array([0])
     state = IterateState(x=x, y=ev.y, support=T, prev_support=T,
-                         value=ev.value, grad=g, k=0, eta=5.0)
+                         value=ev.value, grad=g, eta=5.0)
     cfg = SolverConfig(s=1)
     step = line_search(state, np.array([-1.0]), PHI2, inst, cfg)
     assert step is not None
@@ -96,9 +92,9 @@ def test_line_search_zeroes_coordinates_off_support():
     x = np.array([0.5, 1e-8])
     ev = merit_value(PHI2, inst, x)
     g = merit_gradient(PHI2, inst, x, y=ev.y)
-    state = IterateState(x=x, y=ev.y, support=IndexSet((0,), 1),
-                         prev_support=IndexSet((0, 1), 2),
-                         value=ev.value, grad=g, k=0, eta=5.0)
+    state = IterateState(x=x, y=ev.y, support=np.array([0]),
+                         prev_support=np.array([0, 1]),
+                         value=ev.value, grad=g, eta=5.0)
     step = line_search(state, np.array([0.5, 0.0]), PHI2, inst,
                        SolverConfig(s=1))
     assert step is not None
@@ -170,8 +166,8 @@ def test_report_fields_are_consistent():
     rep = solve(inst, PHI2, cfg)
     assert rep.objective == rep.f_trace[-1]
     assert rep.iterations == len(rep.f_trace) - 1
-    assert rep.support.capacity == 2
-    assert set(np.nonzero(rep.x)[0]) <= set(rep.support.indices)
+    assert rep.support.size == 2
+    assert set(np.nonzero(rep.x)[0]) <= set(rep.support.tolist())
     assert rep.backtracks_total >= 0
     assert rep.wall_time >= 0.0
     # the reported residual is reproducible from the final point; the
@@ -180,11 +176,36 @@ def test_report_fields_are_consistent():
     x, g = rep.x, merit_gradient(PHI2, inst, rep.x)
     eta = cfg.eta_for(inst.n)
     T = select_support(x, g, eta, cfg.s)
-    state = IterateState(x=x, y=inst.M @ x + inst.q, support=T,
-                         prev_support=T, value=rep.objective, grad=g, k=0,
-                         eta=eta)
-    assert residual(state, PHI2, inst, cfg) == pytest.approx(
+    assert residual(x, g, T, eta, cfg.s) == pytest.approx(
         rep.residual, rel=1e-3, abs=1e-12)
+
+
+def test_working_sets_are_sorted_index_arrays_of_size_s():
+    # real outputs only: a selection, a solve from zero, a solve whose
+    # oversized start is trimmed, and one budget-search round
+    def check(support, s, x=None):
+        assert support.dtype == np.intp
+        assert support.size == s
+        assert np.all(np.diff(support) > 0)
+        if x is not None:
+            assert set(np.nonzero(x)[0]) <= set(support.tolist())
+
+    check(top_s_by_magnitude(np.array([0.0, -3.0, 1.0, 3.0, 2.0]), 3), 3)
+    inst = generate(GeneratorSpec("sdp_gaussian", 30, s_star=3, m=15,
+                                  seed=6))
+    rep = solve(inst, PHI2, SolverConfig(s=4))
+    check(rep.support, 4, rep.x)
+    # five nonzeros trimmed to budget 3 land on the solution, so the
+    # report carries the trimmed starting set itself
+    small = LcpInstance(np.eye(5), np.array([-1.0, -1.0, -1.0, 1.0, 1.0]))
+    rep = solve(small, PHI2, SolverConfig(s=3),
+                x0=np.array([1.0, 1.0, 1.0, 0.1, 0.2]))
+    assert rep.iterations == 0 and rep.support.tolist() == [0, 1, 2]
+    check(rep.support, 3, rep.x)
+    rep, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1),
+                              TuningConfig(s0=2, max_rounds=1))
+    assert rounds == 1
+    check(rep.support, 2, rep.x)
 
 
 def test_oversized_start_is_trimmed():

@@ -42,7 +42,7 @@ def test_trivial_instance_accepts_first_round():
     assert rounds == 1
     assert report.objective == 0.0
     assert report.termination is Termination.RESIDUAL_MET
-    assert report.support.capacity == 1
+    assert report.support.size == 1
 
 
 def test_budget_doubles_until_acceptance():
@@ -53,7 +53,7 @@ def test_budget_doubles_until_acceptance():
     report, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1),
                                  TuningConfig(s0=1, rho=2))
     assert rounds == 4
-    assert report.support.capacity == 8
+    assert report.support.size == 8
     assert report.objective < 1e-8
     assert is_success(report.x, inst.ground_truth)
 
