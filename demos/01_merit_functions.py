@@ -30,8 +30,8 @@ models = [
 
 print("merit values at the solution x = (1.5, 0) and at x = (1, -0.5):")
 for name, model in models:
-    at_sol = merit_value(model, inst, solution).value
-    at_off = merit_value(model, inst, off).value
+    at_sol = merit_value(model, inst, solution)
+    at_off = merit_value(model, inst, off)
     print(f"  {name}  f(solution) = {at_sol:.3e}   f(off) = {at_off:.6f}")
 
 print()

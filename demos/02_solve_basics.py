@@ -42,4 +42,4 @@ y = inst.M @ report.x + inst.q
 print()
 print(f"min(x) = {report.x.min():.2e}, min(y) = {y.min():.2e}, "
       f"max |x * y| = {np.abs(report.x * y).max():.2e}")
-print(f"f_2 cross-check: {merit_value(model, inst, report.x).value:.3e}")
+print(f"f_2 cross-check: {merit_value(model, inst, report.x):.3e}")

@@ -12,8 +12,8 @@ from sparselcp import (GeneratorSpec, LcpInstance, MeritModel, RayTermination,
                        generate, lemke_solve, merit_value)
 
 inst = generate(GeneratorSpec("sdp_gaussian", n=200, s_star=5, m=100, seed=1))
-x, pivots = lemke_solve(inst, return_pivots=True)
-f2 = merit_value(MeritModel.phi_r(2), inst, x).value
+x, pivots = lemke_solve(inst)
+f2 = merit_value(MeritModel.phi_r(2), inst, x)
 
 print(f"planted instance, n = {inst.n}:")
 print(f"  pivots = {pivots}, nonzeros = {np.count_nonzero(x)}, "
@@ -32,5 +32,5 @@ except RayTermination as exc:
 print()
 print("trivial case: q >= 0 means x = 0 works, zero pivots needed:")
 easy = LcpInstance(np.eye(2), np.array([0.5, 2.0]))
-x, pivots = lemke_solve(easy, return_pivots=True)
+x, pivots = lemke_solve(easy)
 print(f"  x = {x}, pivots = {pivots}")

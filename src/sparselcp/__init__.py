@@ -12,8 +12,7 @@ from .core import (LcpInstance, SingularError, SolveReport, SolverConfig,
                    Termination, dense_solve, load_instance, save_instance,
                    top_s_by_magnitude)
 from .lemke import PivotLimit, RayTermination, Tableau, lemke_solve
-from .merit import (MeritEval, MeritModel, merit_gradient, merit_hessian,
-                    merit_value, phi_r_grad_scalar, phi_r_scalar)
+from .merit import MeritModel, merit_gradient, merit_hessian, merit_value
 from .nhtp import (IterateState, fallback_direction, line_search,
                    newton_direction, residual, select_support, solve)
 from .problems import (CombinatorialLimit, GeneratorSpec, Rng, gen_sdp,
@@ -27,8 +26,7 @@ __all__ = [
     "Termination", "dense_solve", "load_instance", "save_instance",
     "top_s_by_magnitude",
     "PivotLimit", "RayTermination", "Tableau", "lemke_solve",
-    "MeritEval", "MeritModel", "merit_gradient", "merit_hessian",
-    "merit_value", "phi_r_grad_scalar", "phi_r_scalar",
+    "MeritModel", "merit_gradient", "merit_hessian", "merit_value",
     "IterateState", "fallback_direction", "line_search",
     "newton_direction", "residual", "select_support", "solve",
     "CombinatorialLimit", "GeneratorSpec", "Rng", "gen_sdp",

@@ -146,7 +146,7 @@ def _scaling_trial(args):
         quality = float(np.linalg.norm(report.x - inst.ground_truth)
                         / np.linalg.norm(inst.ground_truth))
     else:
-        quality = merit_value(f2model, inst, report.x).value
+        quality = merit_value(f2model, inst, report.x)
     grad2 = float(np.linalg.norm(merit_gradient(f2model, inst, report.x)))
     return (quality, grad2, support_count(report.x), report.wall_time,
             report.iterations)
@@ -166,10 +166,10 @@ def _merit_trial(args):
             callback = lambda k, x, f: iterates.append(x.copy())  # noqa: E731
         report = nhtp.solve(inst, model, SolverConfig(s=_budget(spec, point)),
                             callback=callback)
-        f2 = merit_value(f2model, inst, report.x).value
+        f2 = merit_value(f2model, inst, report.x)
         trace = None
         if iterates is not None:
-            trace = [merit_value(f2model, inst, x).value for x in iterates]
+            trace = [merit_value(f2model, inst, x) for x in iterates]
         out.append((kind, f2, report.wall_time, report.iterations, trace))
     return out
 
@@ -182,9 +182,9 @@ def _selection_trial(args):
 
     t0 = time.perf_counter()
     try:
-        x_lemke = lemke_solve(inst)
+        x_lemke, _ = lemke_solve(inst)
         t_lemke = time.perf_counter() - t0
-        rows["Lemke"] = (merit_value(f2model, inst, x_lemke).value, t_lemke,
+        rows["Lemke"] = (merit_value(f2model, inst, x_lemke), t_lemke,
                          support_count(x_lemke), True)
     except (RayTermination, PivotLimit):
         x_lemke = None
@@ -198,7 +198,7 @@ def _selection_trial(args):
         s_fixed = None
     if s_fixed is not None:
         report = nhtp.solve(inst, f2model, SolverConfig(s=s_fixed))
-        rows["NHTP-fixed-s"] = (merit_value(f2model, inst, report.x).value,
+        rows["NHTP-fixed-s"] = (merit_value(f2model, inst, report.x),
                                 report.wall_time, support_count(report.x),
                                 True)
     else:
@@ -208,7 +208,7 @@ def _selection_trial(args):
     report, _rounds = nhtpt_solve(inst, f2model, SolverConfig(s=1),
                                   TuningConfig())
     t_tuned = time.perf_counter() - t0
-    rows["NHTPT"] = (merit_value(f2model, inst, report.x).value, t_tuned,
+    rows["NHTPT"] = (merit_value(f2model, inst, report.x), t_tuned,
                      support_count(report.x), True)
     return rows
 

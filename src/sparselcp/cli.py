@@ -118,7 +118,7 @@ def _cmd_solve(args):
             print("cannot combine --x0 with --warm-start-lemke",
                   file=sys.stderr)
             return 1
-        x0 = lemke_solve(inst)  # ray/pivot failures exit 2 via main
+        x0, _ = lemke_solve(inst)  # ray/pivot failures exit 2 via main
         if s is None:
             s = max(1, support_count(x0))
     elif args.x0 is not None:
@@ -148,8 +148,8 @@ def _cmd_tune(args):
 def _cmd_lemke(args):
     inst = load_instance(args.instance)
     x, pivots = lemke_solve(inst, pivot_tol=args.pivot_tol,
-                            max_pivots=args.max_pivots, return_pivots=True)
-    f2 = merit_value(MeritModel.phi_r(2), inst, x).value
+                            max_pivots=args.max_pivots)
+    f2 = merit_value(MeritModel.phi_r(2), inst, x)
     print(f"pivots:      {pivots}")
     print(f"f2:          {f2:.6e}")
     _print_nonzeros(x)
@@ -172,8 +172,9 @@ def _parse_grid(text):
         n = val(0, int)
         if n is None:
             raise ValueError(f"grid cell {cell!r} lacks n")
+        r = val(2, float)
         points.append(GridPoint(n, s_star=val(1, int),
-                                r=val(2, float) or 2.0, s=val(3, int)))
+                                r=2.0 if r is None else r, s=val(3, int)))
     if not points:
         raise ValueError("empty grid")
     return tuple(points)

@@ -31,14 +31,11 @@ class LcpInstance:
     additionally bound the number of nonzeros of x.
 
     ground_truth : optional planted solution used for error reporting
-    declared_classes : advisory matrix-class tags, e.g. {"Z", "PSD",
-        "Nonnegative", "Ps"}; never verified here (see problems module)
     """
 
     M: np.ndarray
     q: np.ndarray
     ground_truth: np.ndarray = None
-    declared_classes: frozenset = frozenset()
 
     def __post_init__(self):
         M = _frozen_array(self.M)
@@ -55,7 +52,6 @@ class LcpInstance:
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "ground_truth", gt)
-        object.__setattr__(self, "declared_classes", frozenset(self.declared_classes))
 
     @property
     def n(self):
@@ -70,24 +66,19 @@ class SolverConfig:
     eta : thresholding step; None picks 5 when n <= 1000 else 1
     sigma : Armijo slope fraction, in (0, 0.5)
     beta : backtracking shrink factor, in (0, 1)
-    gamma_active / gamma_inactive : curvature floor of the descent test,
-        the inactive value applies when x vanishes off the working support
     tol : halting threshold on the stationarity residual
-    obj_tol : relative objective-stall threshold
     max_iter : outer iteration cap
-    max_backtracks : largest backtracking exponent tried per line search
+
+    The descent-test curvature floors, the objective-stall threshold and
+    the backtracking budget are fixed constants of the nhtp module.
     """
 
     s: int
     eta: float = None
     sigma: float = 1e-4
     beta: float = 0.5
-    gamma_active: float = 1e-4
-    gamma_inactive: float = 1e-10
     tol: float = 1e-10
-    obj_tol: float = 1e-10
     max_iter: int = 2000
-    max_backtracks: int = 50
 
     def __post_init__(self):
         if self.s < 1:
@@ -98,12 +89,10 @@ class SolverConfig:
             raise ValueError("sigma must lie in (0, 0.5)")
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
-        if self.gamma_active <= 0 or self.gamma_inactive <= 0:
-            raise ValueError("gamma floors must be positive")
-        if self.tol < 0 or self.obj_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.max_iter < 1 or self.max_backtracks < 0:
-            raise ValueError("iteration caps out of range")
+        if self.tol < 0:
+            raise ValueError("tol must be nonnegative")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
     def eta_for(self, n):
         if self.eta is not None:
@@ -183,39 +172,44 @@ def _fmt(v):
 def save_instance(inst, path):
     """Write an instance as text: n, the n rows of M, then q, then an
     optional ground-truth line prefixed 'x*:'.  Reals carry 17 significant
-    digits so a load/save round trip is bit exact.  declared_classes are
-    advisory and not serialized."""
-    lines = [str(inst.n)]
-    for row in inst.M:
-        lines.append(" ".join(_fmt(v) for v in row))
-    lines.append(" ".join(_fmt(v) for v in inst.q))
-    if inst.ground_truth is not None:
-        lines.append("x*: " + " ".join(_fmt(v) for v in inst.ground_truth))
+    digits so a load/save round trip is bit exact."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{inst.n}\n")
+        np.savetxt(fh, inst.M, fmt="%.17g")
+        np.savetxt(fh, inst.q[None], fmt="%.17g")
+        if inst.ground_truth is not None:
+            fh.write("x*: ")
+            np.savetxt(fh, inst.ground_truth[None], fmt="%.17g")
+
+
+def _parse(lines, ndmin):
+    # comments=None keeps a stray '#' a parse error rather than a comment
+    return np.loadtxt(lines, ndmin=ndmin, comments=None)
 
 
 def load_instance(path):
     """Inverse of save_instance."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines:
         raise ValueError("empty instance file")
     n = int(lines[0])
+    if n < 1:
+        raise ValueError("n must be positive")
     if len(lines) < n + 2:
         raise ValueError("truncated instance file")
-    M = np.array([[float(t) for t in lines[1 + i].split()] for i in range(n)])
+    M = _parse(lines[1:n + 1], 2)
     if M.shape != (n, n):
         raise ValueError("bad matrix row length")
-    q = np.array([float(t) for t in lines[n + 1].split()])
+    q = _parse(lines[n + 1:n + 2], 1)
     if q.shape != (n,):
         raise ValueError("bad q length")
     gt = None
     if len(lines) > n + 2:
         tail = lines[n + 2]
-        if not tail.startswith("x*:"):
+        if len(lines) > n + 3 or not tail.startswith("x*:"):
             raise ValueError("unrecognized trailing line")
-        gt = np.array([float(t) for t in tail[3:].split()])
+        gt = _parse([tail[3:]], 1)
         if gt.shape != (n,):
             raise ValueError("bad ground-truth length")
     return LcpInstance(M, q, ground_truth=gt)

@@ -87,8 +87,8 @@ def _complement(var, n):
     return var + n if var < n else var - n
 
 
-def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None, return_pivots=False):
-    """Solve the LCP (M, q); returns x (or (x, pivots) on request).
+def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None):
+    """Solve the LCP (M, q); returns (x, pivots).
 
     pivot_tol guards ratio-test denominators; max_pivots defaults to 10n.
     Raises RayTermination when the path escapes to infinity and PivotLimit
@@ -99,8 +99,7 @@ def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None, return_pivots=False):
         max_pivots = 10 * n
     q = inst.q
     if np.all(q >= 0):
-        x = np.zeros(n)
-        return (x, 0) if return_pivots else x
+        return np.zeros(n), 0
     tab = Tableau.initial(inst.M, q)
     aux = 2 * n
     # drive the artificial variable in against the worst violation
@@ -130,4 +129,4 @@ def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None, return_pivots=False):
     x = tab.solution()
     logger.info("lemke done: %d pivots, ||x||_0=%d", pivots,
                 int(np.count_nonzero(x)))
-    return (x, pivots) if return_pivots else x
+    return x, pivots

@@ -22,7 +22,8 @@ Kernels:
   fb     : psi = 0.5 phi^2 with phi = sqrt(a^2 + b^2 + eps) - a - b,
            the eps-smoothed Fischer-Burmeister residual.
   min    : psi = 0.5 phi^2 with phi = a + b - sqrt((a-b)^2 + eps),
-           the eps-smoothed natural (minimum) residual.
+           the eps-smoothed natural (minimum) residual; eps = 1e-10
+           for both smoothed kernels.
   psi2   : psi = 0.5[(ab)_+^2 + min(a,0)^2 + min(b,0)^2], a squared
            penalty on positive products and negative parts.
 
@@ -36,49 +37,39 @@ import numpy as np
 
 KINDS = ("phi_r", "fb", "min", "psi2")
 
+# smoothing constant eps of the fb and min kernels
+_EPS = 1e-10
+
 
 @dataclass(frozen=True)
 class MeritModel:
-    """Selects a merit kernel and its parameters.
-
-    r applies to phi_r only; smoothing_eps to fb and min only.
-    """
+    """Selects a merit kernel; r is the exponent of phi_r and ignored
+    by the other kinds."""
 
     kind: str
     r: float = 2.0
-    smoothing_eps: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown merit kind {self.kind!r}")
         if self.kind == "phi_r" and not self.r >= 2:
             raise ValueError("r must be at least 2")
-        if self.kind in ("fb", "min") and not self.smoothing_eps > 0:
-            raise ValueError("smoothing_eps must be positive")
 
     @staticmethod
     def phi_r(r=2.0):
         return MeritModel("phi_r", r=float(r))
 
     @staticmethod
-    def fischer_burmeister(smoothing_eps=1e-10):
-        return MeritModel("fb", smoothing_eps=smoothing_eps)
+    def fischer_burmeister():
+        return MeritModel("fb")
 
     @staticmethod
-    def natural_min(smoothing_eps=1e-10):
-        return MeritModel("min", smoothing_eps=smoothing_eps)
+    def natural_min():
+        return MeritModel("min")
 
     @staticmethod
     def psi2():
         return MeritModel("psi2")
-
-
-@dataclass
-class MeritEval:
-    """A merit evaluation with the cached slack y = M x + q."""
-
-    value: float
-    y: np.ndarray
 
 
 def _parts(a):
@@ -96,12 +87,12 @@ def _value_terms(model, a, b):
             return 0.5 * ((ap * bp) ** 2 + am * am + bm * bm)
         return (ap**r * bp**r + am**r + bm**r) / r
     if model.kind == "fb":
-        w = np.sqrt(a * a + b * b + model.smoothing_eps)
+        w = np.sqrt(a * a + b * b + _EPS)
         phi = w - a - b
         return 0.5 * phi * phi
     if model.kind == "min":
         u = a - b
-        w = np.sqrt(u * u + model.smoothing_eps)
+        w = np.sqrt(u * u + _EPS)
         phi = a + b - w
         return 0.5 * phi * phi
     # psi2
@@ -124,12 +115,12 @@ def _grad_terms(model, a, b):
             db = ap**r * bp ** (r - 1) - bm ** (r - 1)
         return da, db
     if model.kind == "fb":
-        w = np.sqrt(a * a + b * b + model.smoothing_eps)
+        w = np.sqrt(a * a + b * b + _EPS)
         phi = w - a - b
         return phi * (a / w - 1.0), phi * (b / w - 1.0)
     if model.kind == "min":
         u = a - b
-        w = np.sqrt(u * u + model.smoothing_eps)
+        w = np.sqrt(u * u + _EPS)
         phi = a + b - w
         return phi * (1.0 - u / w), phi * (1.0 + u / w)
     # psi2
@@ -158,24 +149,22 @@ def _hess_terms(model, a, b):
         hbb = (r - 1) * (ap**r * bp ** (r - 2) + bm ** (r - 2))
         return haa, hab, hbb
     if model.kind == "fb":
-        eps = model.smoothing_eps
-        w = np.sqrt(a * a + b * b + eps)
+        w = np.sqrt(a * a + b * b + _EPS)
         phi = w - a - b
         pa = a / w - 1.0
         pb = b / w - 1.0
         w3 = w * w * w
-        haa = pa * pa + phi * (b * b + eps) / w3
+        haa = pa * pa + phi * (b * b + _EPS) / w3
         hab = pa * pb - phi * a * b / w3
-        hbb = pb * pb + phi * (a * a + eps) / w3
+        hbb = pb * pb + phi * (a * a + _EPS) / w3
         return haa, hab, hbb
     if model.kind == "min":
-        eps = model.smoothing_eps
         u = a - b
-        w = np.sqrt(u * u + eps)
+        w = np.sqrt(u * u + _EPS)
         phi = a + b - w
         pa = 1.0 - u / w
         pb = 1.0 + u / w
-        curv = eps / (w * w * w)
+        curv = _EPS / (w * w * w)
         return pa * pa - phi * curv, pa * pb + phi * curv, pb * pb - phi * curv
     # psi2; the kinks ab = 0, a = 0, b = 0 take the flat-branch value 0
     pos = a * b > 0.0
@@ -183,17 +172,6 @@ def _hess_terms(model, a, b):
     hab = 2.0 * np.maximum(a * b, 0.0)
     hbb = np.where(pos, a * a, 0.0) + (b < 0.0)
     return haa, hab, hbb
-
-
-def phi_r_scalar(a, b, r):
-    """Scalar kernel value psi(a, b) of the phi_r merit."""
-    return float(_value_terms(MeritModel.phi_r(r), np.float64(a), np.float64(b)))
-
-
-def phi_r_grad_scalar(a, b, r):
-    """Partial derivatives (d psi/d a, d psi/d b) of the phi_r kernel."""
-    da, db = _grad_terms(MeritModel.phi_r(r), np.float64(a), np.float64(b))
-    return float(da), float(db)
 
 
 def value_from_xy(model, x, y):
@@ -208,18 +186,15 @@ def gradient_from_xy(model, M, x, y):
 
 
 def merit_value(model, inst, x):
-    """Evaluate the merit at x; returns MeritEval with y cached."""
+    """Merit value f(x) as a float."""
     x = np.asarray(x, dtype=np.float64)
-    y = inst.M @ x + inst.q
-    return MeritEval(value_from_xy(model, x, y), y)
+    return value_from_xy(model, x, inst.M @ x + inst.q)
 
 
-def merit_gradient(model, inst, x, y=None):
+def merit_gradient(model, inst, x):
     """Gradient of the merit at x (length-n vector)."""
     x = np.asarray(x, dtype=np.float64)
-    if y is None:
-        y = inst.M @ x + inst.q
-    return gradient_from_xy(model, inst.M, x, y)
+    return gradient_from_xy(model, inst.M, x, inst.M @ x + inst.q)
 
 
 def merit_hessian(model, inst, x, rows, cols, y=None):

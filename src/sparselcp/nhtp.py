@@ -34,6 +34,15 @@ from .core import (SingularError, SolveReport, Termination, dense_solve,
 
 logger = logging.getLogger("sparselcp.nhtp")
 
+# curvature floor gamma of the Newton descent test; the inactive value
+# applies when x already vanishes off the working set
+_GAMMA_ACTIVE = 1e-4
+_GAMMA_INACTIVE = 1e-10
+# relative objective change below which the solve reports a stall
+_OBJ_TOL = 1e-10
+# largest backtracking exponent tried per line search
+_MAX_BACKTRACKS = 50
+
 
 @dataclass
 class IterateState:
@@ -77,13 +86,14 @@ def residual(x, grad, T, eta, s):
     return first + max(slack, 0.0)
 
 
-def newton_direction(state, model, inst, config):
+def newton_direction(state, model, inst):
     """Restricted Newton direction, or None when the fallback must run.
 
     Solves H[T,T] d_T = H[T,J] x_J - grad_T with J the coordinates being
     dropped from the previous working set, and sets d = -x off T.  Returns
     None if the system is singular or d fails the descent margin test
-        <grad_T, d_T> <= -gamma ||d||^2 + ||x_offT||^2 / (4 eta).
+        <grad_T, d_T> <= -gamma ||d||^2 + ||x_offT||^2 / (4 eta),
+    with gamma = 1e-10 when x vanishes off T and 1e-4 otherwise.
     """
     x, y, g, t = state.x, state.y, state.grad, state.support
     rhs = -g[t]
@@ -101,7 +111,7 @@ def newton_direction(state, model, inst, config):
     off = np.ones(x.shape[0], dtype=bool)
     off[t] = False
     off_sq = float(np.sum(x[off] ** 2))
-    gamma = config.gamma_inactive if off_sq == 0.0 else config.gamma_active
+    gamma = _GAMMA_INACTIVE if off_sq == 0.0 else _GAMMA_ACTIVE
     if np.dot(g[t], dt) <= -gamma * np.dot(d, d) + off_sq / (4.0 * state.eta):
         return d
     return None
@@ -117,7 +127,7 @@ def fallback_direction(state):
 def line_search(state, direction, model, inst, config):
     """Armijo backtracking along the support-restricted update.
 
-    Tries alpha = beta^t for t = 0..max_backtracks against
+    Tries alpha = beta^t for t = 0..50 against
     f(x(alpha)) <= f(x) + sigma * alpha * <grad f(x), d>.  Returns
     (alpha, x_new, y_new, f_new, t) or None when every alpha fails.
     """
@@ -128,7 +138,7 @@ def line_search(state, direction, model, inst, config):
     xt = x[t_idx]
     dt = direction[t_idx]
     alpha = 1.0
-    for t in range(config.max_backtracks + 1):
+    for t in range(_MAX_BACKTRACKS + 1):
         xt_new = xt + alpha * dt
         y_new = cols @ xt_new + inst.q
         x_new = np.zeros_like(x)
@@ -163,10 +173,10 @@ def solve(inst, model, config, x0=None, callback=None):
     its s largest magnitudes.  callback(k, x, f), when given, observes
     every iterate including the start; it must not mutate x.
 
-    When a line search exhausts max_backtracks the threshold step eta is
-    halved and the iteration retried from the same point (see the module
-    docstring); the solve reports LineSearchFailed only once eta has hit
-    its floor.
+    When a line search exhausts its 51 trial steps the threshold step eta
+    is halved and the iteration retried from the same point (see the
+    module docstring); the solve reports LineSearchFailed only once eta
+    has hit its floor.
     """
     n = inst.n
     s = config.s
@@ -202,13 +212,13 @@ def solve(inst, model, config, x0=None, callback=None):
             termination = Termination.ITERATION_CAP
             break
         state = IterateState(x, y, T, prev_T, f, g, eta)
-        d = newton_direction(state, model, inst, config)
+        d = newton_direction(state, model, inst)
         used_newton = d is not None
         if d is None:
             d = fallback_direction(state)
         step = line_search(state, d, model, inst, config)
         if step is None:
-            backtracks += config.max_backtracks + 1
+            backtracks += _MAX_BACKTRACKS + 1
             if eta <= eta_floor:
                 termination = Termination.LINE_SEARCH_FAILED
                 break
@@ -217,7 +227,7 @@ def solve(inst, model, config, x0=None, callback=None):
             continue
         alpha, x_new, y_new, f_new, bt = step
         backtracks += bt
-        stalled = abs(f_new - f) < config.obj_tol * (1.0 + abs(f))
+        stalled = abs(f_new - f) < _OBJ_TOL * (1.0 + abs(f))
         x, y, f = x_new, y_new, f_new
         prev_T = T
         k += 1

@@ -1,8 +1,12 @@
 """Deterministic benchmark instance generators and matrix-class predicates.
 
 Reproducibility contract.  All randomness flows through a pinned pipeline
-so identical (example, n, m, s_star, seed) yield bitwise-identical
-instances on any platform:
+so identical (example, n, m, s_star, seed) yield bitwise-identical random
+draws (the factor Z, the permutation and the planted values) on any
+platform.  The products M = Z Z^T and M x* come from BLAS, whose summation
+order depends on the library and its thread count, so the last bits of M
+and q can differ between BLAS builds and thread settings; with the same
+BLAS setup they repeat exactly.  The pipeline:
 
   * Raw stream: SplitMix64.  The k-th output (k = 1, 2, ...) is
     mix(seed + k * 0x9E3779B97F4A7C15) over uint64 arithmetic mod 2^64,
@@ -141,7 +145,7 @@ def gen_z_matrix(n):
     q[0] -= 1.0
     gt = np.zeros(n)
     gt[0] = 1.0
-    return LcpInstance(M, q, ground_truth=gt, declared_classes={"Z", "PSD"})
+    return LcpInstance(M, q, ground_truth=gt)
 
 
 def gen_sdp(spec):
@@ -175,14 +179,12 @@ def gen_sdp(spec):
     Mx = M @ xs
     if gaussian:
         q = np.abs(Mx)
-        classes = {"PSD"}
     else:
         q = np.empty(n)
         off = np.setdiff1d(np.arange(n), supp)
         q[off] = rng.uniforms_open(off.size)
-        classes = {"PSD", "Nonnegative"}
     q[supp] = -Mx[supp]
-    return LcpInstance(M, q, ground_truth=xs, declared_classes=classes)
+    return LcpInstance(M, q, ground_truth=xs)
 
 
 def gen_sdp_nox(spec):
@@ -206,7 +208,7 @@ def gen_sdp_nox(spec):
     on_t[rng.permutation(n)[:s_star]] = True
     q = rng.uniforms_open(n)
     q[on_t] = -q[on_t]
-    return LcpInstance(M, q, declared_classes={"PSD", "Nonnegative"})
+    return LcpInstance(M, q)
 
 
 def generate(spec):

@@ -99,4 +99,4 @@ def lemke_seeded_s(inst):
     q >= 0); clamp to 1 before handing to the pursuit solver.  Ray
     termination and pivot-limit errors propagate.
     """
-    return support_count(lemke_solve(inst))
+    return support_count(lemke_solve(inst)[0])

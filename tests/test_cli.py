@@ -138,9 +138,10 @@ def test_bench_grid_placeholders(tmp_path):
 
 def test_bench_rejects_bad_grid(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert main(["bench", "--experiment", "scaling", "--grid", "oops",
-                 "--trials", "1", "--out", str(out)]) == 1
-    assert "bad --grid" in capsys.readouterr().err
+    for grid in ("oops", "20:-:0"):
+        assert main(["bench", "--experiment", "scaling", "--grid", grid,
+                     "--trials", "1", "--out", str(out)]) == 1
+        assert "bad --grid" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -97,13 +97,11 @@ def test_top_s_range_errors():
 
 def test_instance_validation_and_freezing():
     inst = LcpInstance(np.eye(2), np.array([1.0, -1.0]),
-                       ground_truth=np.array([0.0, 1.0]),
-                       declared_classes={"Z"})
+                       ground_truth=np.array([0.0, 1.0]))
     assert inst.n == 2
     assert not inst.M.flags.writeable
     with pytest.raises(ValueError):
         inst.M[0, 0] = 9.0
-    assert inst.declared_classes == frozenset({"Z"})
     with pytest.raises(ValueError):
         LcpInstance(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
@@ -117,9 +115,7 @@ def test_solver_config_validation():
     assert cfg.sigma == 1e-4 and cfg.beta == 0.5 and cfg.max_iter == 2000
     for bad in (dict(s=0), dict(s=1, eta=0.0), dict(s=1, sigma=0.5),
                 dict(s=1, sigma=0.0), dict(s=1, beta=1.0),
-                dict(s=1, gamma_active=0.0), dict(s=1, gamma_inactive=-1.0),
-                dict(s=1, tol=-1e-3), dict(s=1, obj_tol=-1.0),
-                dict(s=1, max_iter=0), dict(s=1, max_backtracks=-1)):
+                dict(s=1, tol=-1e-3), dict(s=1, max_iter=0)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 
@@ -155,6 +151,15 @@ def test_instance_file_round_trip_is_bit_exact(tmp_path):
     path2 = tmp_path / "inst2.txt"
     save_instance(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # the layout documented in the README loads and saves back unchanged
+    readme = tmp_path / "readme.txt"
+    readme.write_text("3\n1 0 0\n0 1 0\n0 0 1\n-1 0.5 2\nx*: 1 0 0\n")
+    doc = load_instance(readme)
+    assert np.array_equal(doc.M, np.eye(3))
+    assert doc.q.tolist() == [-1.0, 0.5, 2.0]
+    assert doc.ground_truth.tolist() == [1.0, 0.0, 0.0]
+    save_instance(doc, path2)
+    assert path2.read_bytes() == readme.read_bytes()
 
 
 def test_instance_file_without_ground_truth(tmp_path):
@@ -173,17 +178,24 @@ def test_instance_file_errors(tmp_path):
     with pytest.raises(ValueError):
         load_instance(empty)
     trunc = tmp_path / "trunc.txt"
-    trunc.write_text("2\n1 0\n")
-    with pytest.raises(ValueError):
-        load_instance(trunc)
+    for text in ("2\n1 0\n", "0\n1\n"):
+        trunc.write_text(text)
+        with pytest.raises(ValueError):
+            load_instance(trunc)
     badrow = tmp_path / "badrow.txt"
     badrow.write_text("2\n1 0 0\n0 1\n1 2\n")
     with pytest.raises(ValueError):
         load_instance(badrow)
     badtail = tmp_path / "badtail.txt"
-    badtail.write_text("1\n1\n-1\nnot-a-solution-line\n")
+    for tail in ("not-a-solution-line\n", "x*: 1\nextra\n"):
+        badtail.write_text("1\n1\n-1\n" + tail)
+        with pytest.raises(ValueError):
+            load_instance(badtail)
+    # '#' is not a comment marker in instance files
+    comment = tmp_path / "comment.txt"
+    comment.write_text("1\n1 # one\n-1\n")
     with pytest.raises(ValueError):
-        load_instance(badtail)
+        load_instance(comment)
 
 
 def test_package_exports_resolve():

@@ -1,0 +1,23 @@
+"""Every script in demos/ runs to completion against the current API."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_cleanly(demo):
+    # run from the repository root with the inherited environment, so a
+    # relative PYTHONPATH such as "src" finds the same package
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

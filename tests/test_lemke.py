@@ -37,13 +37,13 @@ def enumerate_solutions(M, q, tol=1e-9):
 def test_identity_instance():
     # M = I: the solution is x_i = max(-q_i, 0)
     q = np.array([-1.0, 2.0, -3.0])
-    x = lemke_solve(LcpInstance(np.eye(3), q))
+    x, _ = lemke_solve(LcpInstance(np.eye(3), q))
     assert np.allclose(x, [1.0, 0.0, 3.0], atol=1e-12)
 
 
 def test_nonnegative_q_needs_no_pivot():
     inst = LcpInstance(np.eye(2), np.array([0.5, 0.0]))
-    x, pivots = lemke_solve(inst, return_pivots=True)
+    x, pivots = lemke_solve(inst)
     assert pivots == 0
     assert np.all(x == 0.0)
 
@@ -58,7 +58,7 @@ def test_pivot_limit():
     with pytest.raises(PivotLimit):
         lemke_solve(inst, max_pivots=1)
     # the default budget is ample for this instance
-    x = lemke_solve(inst)
+    x, _ = lemke_solve(inst)
     assert np.allclose(x, [1.0, 2.0], atol=1e-12)
 
 
@@ -70,7 +70,7 @@ def test_matches_complementary_basis_enumeration():
         M = A @ A.T + n * np.eye(n)  # positive definite, solution unique
         q = rng.standard_normal(n) * 2.0
         inst = LcpInstance(M, q)
-        x = lemke_solve(inst)
+        x, _ = lemke_solve(inst)
         candidates = enumerate_solutions(M, q)
         assert candidates, "oracle found no complementary solution"
         dists = [np.linalg.norm(x - c) for c in candidates]
@@ -83,8 +83,8 @@ def test_solves_random_planted_families():
         n = 20 + (seed % 3) * 10
         spec = GeneratorSpec("sdp_gaussian", n, s_star=2, m=n // 2, seed=seed)
         inst = generate(spec)
-        x = lemke_solve(inst)
-        f2 = merit_value(PHI2, inst, x).value
+        x, _ = lemke_solve(inst)
+        f2 = merit_value(PHI2, inst, x)
         worst = max(worst, f2)
         assert x.min() >= -1e-10
         assert (inst.M @ x + inst.q).min() >= -1e-8
@@ -99,7 +99,7 @@ def test_agrees_with_newton_pursuit_on_full_budget():
         M = A @ A.T + n * np.eye(n)
         q = rng.standard_normal(n)
         inst = LcpInstance(M, q)
-        x_piv = lemke_solve(inst)
+        x_piv, _ = lemke_solve(inst)
         rep = nhtp_solve(inst, PHI2, SolverConfig(s=n))
         # positive definite M has a unique solution; both solvers find
         # it, though the quartic flat of the merit near a coordinate
@@ -120,12 +120,11 @@ def test_tableau_layout():
     assert np.array_equal(tab.body[:, 5], q)
 
 
-def test_return_pivots_format():
+def test_returns_solution_and_pivot_count():
     inst = LcpInstance(np.eye(1), np.array([-2.0]))
-    out = lemke_solve(inst, return_pivots=True)
+    out = lemke_solve(inst)
     assert isinstance(out, tuple) and len(out) == 2
     x, pivots = out
+    assert isinstance(x, np.ndarray)
     assert x[0] == pytest.approx(2.0, abs=1e-12)
     assert pivots >= 1
-    bare = lemke_solve(inst)
-    assert isinstance(bare, np.ndarray)

@@ -17,18 +17,18 @@ PHI2 = MeritModel.phi_r(2)
 def one_dim_state(M_val, q_val, x_val, eta=5.0, s=1):
     inst = LcpInstance(np.array([[M_val]]), np.array([q_val]))
     x = np.array([float(x_val)])
-    ev = merit_value(PHI2, inst, x)
-    g = merit_gradient(PHI2, inst, x, y=ev.y)
+    y = inst.M @ x + inst.q
     T = np.arange(s)
-    return inst, IterateState(x=x, y=ev.y, support=T, prev_support=T,
-                              value=ev.value, grad=g, eta=eta)
+    return inst, IterateState(x=x, y=y, support=T, prev_support=T,
+                              value=merit_value(PHI2, inst, x),
+                              grad=merit_gradient(PHI2, inst, x), eta=eta)
 
 
 def test_newton_direction_worked_example():
     # M = [[2]], q = [-3], x = 2: gradient 10, Hessian 33, no dropped
     # coordinates, so the direction solves 33 d = -10
     inst, state = one_dim_state(2.0, -3.0, 2.0)
-    d = newton_direction(state, PHI2, inst, SolverConfig(s=1))
+    d = newton_direction(state, PHI2, inst)
     assert d is not None
     assert d[0] == pytest.approx(-10.0 / 33.0, rel=1e-14)
 
@@ -70,12 +70,12 @@ def test_line_search_accepts_descent_and_rejects_ascent():
     # step to zero, ascending direction can never satisfy the bound
     inst = LcpInstance(np.array([[1.0]]), np.array([0.0]))
     x = np.array([1.0])
-    ev = merit_value(PHI2, inst, x)
-    g = merit_gradient(PHI2, inst, x, y=ev.y)
-    assert ev.value == 0.5 and g[0] == 2.0
+    f = merit_value(PHI2, inst, x)
+    g = merit_gradient(PHI2, inst, x)
+    assert f == 0.5 and g[0] == 2.0
     T = np.array([0])
-    state = IterateState(x=x, y=ev.y, support=T, prev_support=T,
-                         value=ev.value, grad=g, eta=5.0)
+    state = IterateState(x=x, y=inst.M @ x + inst.q, support=T,
+                         prev_support=T, value=f, grad=g, eta=5.0)
     cfg = SolverConfig(s=1)
     step = line_search(state, np.array([-1.0]), PHI2, inst, cfg)
     assert step is not None
@@ -90,11 +90,10 @@ def test_line_search_zeroes_coordinates_off_support():
     # of x is dropped exactly, not shrunk
     inst = LcpInstance(np.eye(2), np.array([-1.0, -1.0]))
     x = np.array([0.5, 1e-8])
-    ev = merit_value(PHI2, inst, x)
-    g = merit_gradient(PHI2, inst, x, y=ev.y)
-    state = IterateState(x=x, y=ev.y, support=np.array([0]),
+    state = IterateState(x=x, y=inst.M @ x + inst.q, support=np.array([0]),
                          prev_support=np.array([0, 1]),
-                         value=ev.value, grad=g, eta=5.0)
+                         value=merit_value(PHI2, inst, x),
+                         grad=merit_gradient(PHI2, inst, x), eta=5.0)
     step = line_search(state, np.array([0.5, 0.0]), PHI2, inst,
                        SolverConfig(s=1))
     assert step is not None
@@ -283,5 +282,5 @@ def test_other_merits_drive_the_quadratic_objective_down():
     for model in (MeritModel.fischer_burmeister(), MeritModel.natural_min(),
                   MeritModel.psi2()):
         rep = solve(inst, model, SolverConfig(s=2))
-        f2 = merit_value(PHI2, inst, rep.x).value
+        f2 = merit_value(PHI2, inst, rep.x)
         assert f2 <= 1e-6, model.kind
