@@ -91,12 +91,17 @@ def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None):
     """Solve the LCP (M, q); returns (x, pivots).
 
     pivot_tol guards ratio-test denominators; max_pivots defaults to 10n.
-    Raises RayTermination when the path escapes to infinity and PivotLimit
-    when the pivot budget runs out.
+    Raises ValueError for a negative or non-finite pivot_tol or for
+    max_pivots < 1, RayTermination when the path escapes to infinity and
+    PivotLimit when the pivot budget runs out.
     """
     n = inst.n
     if max_pivots is None:
         max_pivots = 10 * n
+    if not (np.isfinite(pivot_tol) and pivot_tol >= 0):
+        raise ValueError("pivot_tol must be finite and nonnegative")
+    if max_pivots < 1:
+        raise ValueError("max_pivots must be at least 1")
     q = inst.q
     if np.all(q >= 0):
         return np.zeros(n), 0

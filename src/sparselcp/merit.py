@@ -212,7 +212,8 @@ def merit_hessian(model, inst, x, rows, cols, y=None):
     C = np.asarray(cols, dtype=np.intp)
     haa, hab, hbb = _hess_terms(model, x, y)
     MC = M[:, C]
-    H = M[:, R].T @ (hbb[:, None] * MC)
+    MR = MC if np.array_equal(R, C) else M[:, R]
+    H = MR.T @ (hbb[:, None] * MC)
     if len(R) and len(C):
         H += hab[R][:, None] * M[np.ix_(R, C)]
         H += M[np.ix_(C, R)].T * hab[C][None, :]

@@ -20,11 +20,20 @@ line search exhausts its budget the solver halves eta and retries the
 iteration from the same point, so descent stays monotone; eta never
 grows back.  Only when eta has been driven 2^40 times below its starting
 value does the solver give up and report the failed line search.
+
+At a fixed point and working set, the Newton solve, the fallback
+direction and the line search do not depend on eta: eta enters only the
+selection of T and the ||x_offT||^2 / (4 eta) term of the descent test,
+which grows as eta halves.  So a retry that reselects the same T reuses
+the Newton solve and reruns only the descent test, and a direction whose
+line search already failed there is not searched again: the retry goes
+straight to the next halving.  Each halving still adds 51 to the
+reported backtrack count, whether or not its search ran.
 """
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +60,11 @@ class IterateState:
     support is the current selection T_k and prev_support the set T_{k-1}
     whose coordinates may still be nonzero in x, both sorted index arrays.
     eta is the threshold step in effect for this iterate.
+
+    The rest is what is known at (x, support) whatever eta is: newton
+    holds the restricted Newton solve once newton_direction has run it,
+    and failed the directions whose line search failed here (True for
+    the Newton direction, False for the fallback).
     """
 
     x: np.ndarray
@@ -60,6 +74,8 @@ class IterateState:
     value: float
     grad: np.ndarray
     eta: float
+    newton: tuple = None
+    failed: set = field(default_factory=set)
 
 
 def select_support(x, grad, eta, s):
@@ -93,8 +109,24 @@ def newton_direction(state, model, inst):
     dropped from the previous working set, and sets d = -x off T.  Returns
     None if the system is singular or d fails the descent margin test
         <grad_T, d_T> <= -gamma ||d||^2 + ||x_offT||^2 / (4 eta),
-    with gamma = 1e-10 when x vanishes off T and 1e-4 otherwise.
+    with gamma = 1e-10 when x vanishes off T and 1e-4 otherwise.  Only
+    the test reads eta, so the solve is kept in state.newton and a later
+    call on the same state with a smaller eta reruns the test alone.
     """
+    if state.newton is None:
+        state.newton = _newton_solve(state, model, inst)
+    d, slope, d_sq, off_sq = state.newton
+    if d is None:
+        return None
+    gamma = _GAMMA_INACTIVE if off_sq == 0.0 else _GAMMA_ACTIVE
+    if slope <= -gamma * d_sq + off_sq / (4.0 * state.eta):
+        return d
+    return None
+
+
+def _newton_solve(state, model, inst):
+    """The eta-free part of newton_direction: (d, <grad_T, d_T>, ||d||^2,
+    ||x_offT||^2), with d None when the system is singular."""
     x, y, g, t = state.x, state.y, state.grad, state.support
     rhs = -g[t]
     j = np.setdiff1d(state.prev_support, t)
@@ -105,16 +137,12 @@ def newton_direction(state, model, inst):
     try:
         dt = dense_solve(mer.merit_hessian(model, inst, x, t, t, y=y), rhs)
     except SingularError:
-        return None
+        return None, None, None, None
     d = -x.copy()
     d[t] = dt
     off = np.ones(x.shape[0], dtype=bool)
     off[t] = False
-    off_sq = float(np.sum(x[off] ** 2))
-    gamma = _GAMMA_INACTIVE if off_sq == 0.0 else _GAMMA_ACTIVE
-    if np.dot(g[t], dt) <= -gamma * np.dot(d, d) + off_sq / (4.0 * state.eta):
-        return d
-    return None
+    return d, np.dot(g[t], dt), np.dot(d, d), float(np.sum(x[off] ** 2))
 
 
 def fallback_direction(state):
@@ -174,9 +202,10 @@ def solve(inst, model, config, x0=None, callback=None):
     every iterate including the start; it must not mutate x.
 
     When a line search exhausts its 51 trial steps the threshold step eta
-    is halved and the iteration retried from the same point (see the
-    module docstring); the solve reports LineSearchFailed only once eta
-    has hit its floor.
+    is halved and the iteration retried from the same point; a retry that
+    reselects the same working set reuses its Newton solve and skips a
+    direction already seen to fail (see the module docstring).  The solve
+    reports LineSearchFailed only once eta has hit its floor.
     """
     n = inst.n
     s = config.s
@@ -202,6 +231,7 @@ def solve(inst, model, config, x0=None, callback=None):
                 n, s, eta, model.kind, f)
     backtracks = 0
     k = 0
+    state = None
     while True:
         T = select_support(x, g, eta, s)
         res = residual(x, g, T, eta, s)
@@ -211,13 +241,18 @@ def solve(inst, model, config, x0=None, callback=None):
         if k >= config.max_iter:
             termination = Termination.ITERATION_CAP
             break
-        state = IterateState(x, y, T, prev_T, f, g, eta)
+        if state is None or not np.array_equal(T, state.support):
+            state = IterateState(x, y, T, prev_T, f, g, eta)
+        state.eta = eta
         d = newton_direction(state, model, inst)
         used_newton = d is not None
-        if d is None:
-            d = fallback_direction(state)
-        step = line_search(state, d, model, inst, config)
+        step = None
+        if used_newton not in state.failed:
+            if d is None:
+                d = fallback_direction(state)
+            step = line_search(state, d, model, inst, config)
         if step is None:
+            state.failed.add(used_newton)
             backtracks += _MAX_BACKTRACKS + 1
             if eta <= eta_floor:
                 termination = Termination.LINE_SEARCH_FAILED
@@ -230,6 +265,7 @@ def solve(inst, model, config, x0=None, callback=None):
         stalled = abs(f_new - f) < _OBJ_TOL * (1.0 + abs(f))
         x, y, f = x_new, y_new, f_new
         prev_T = T
+        state = None
         k += 1
         trace.append(f)
         if callback is not None:

@@ -96,6 +96,15 @@ def test_lemke_pivot_limit_exit(tmp_path, capsys):
     assert "pivot limit" in capsys.readouterr().err
 
 
+def test_lemke_bad_arguments_are_usage_errors(tmp_path, capsys):
+    path = write_instance(tmp_path, np.eye(2), [-1.0, -2.0])
+    for flag, value in (("--pivot-tol", "-1"), ("--pivot-tol", "nan"),
+                        ("--max-pivots", "0")):
+        assert main(["lemke", "--instance", path, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "pivot limit" not in err
+
+
 def test_warm_start_propagates_ray_failure(tmp_path, capsys):
     ray = write_instance(tmp_path, [[-1.0]], [-1.0], name="ray.txt")
     assert main(["solve", "--instance", ray, "--warm-start-lemke"]) == 2

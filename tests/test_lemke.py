@@ -62,6 +62,22 @@ def test_pivot_limit():
     assert np.allclose(x, [1.0, 2.0], atol=1e-12)
 
 
+def test_rejects_bad_arguments():
+    # checked before any pivot, also where q >= 0 needs none
+    for q in ([-1.0, -2.0], [1.0, 2.0]):
+        inst = LcpInstance(np.eye(2), np.array(q))
+        for tol in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="pivot_tol"):
+                lemke_solve(inst, pivot_tol=tol)
+        for limit in (0, -3):
+            with pytest.raises(ValueError, match="max_pivots"):
+                lemke_solve(inst, max_pivots=limit)
+    # the boundary values are accepted
+    x, _ = lemke_solve(LcpInstance(np.eye(2), np.array([-1.0, -2.0])),
+                       pivot_tol=0.0)
+    assert np.allclose(x, [1.0, 2.0], atol=1e-12)
+
+
 def test_matches_complementary_basis_enumeration():
     rng = np.random.default_rng(23)
     for _ in range(30):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparselcp import nhtp
 from sparselcp.core import (LcpInstance, SolverConfig, Termination,
                             top_s_by_magnitude)
 from sparselcp.merit import MeritModel, merit_gradient, merit_value
@@ -205,6 +206,43 @@ def test_working_sets_are_sorted_index_arrays_of_size_s():
                               TuningConfig(s0=2, max_rounds=1))
     assert rounds == 1
     check(rep.support, 2, rep.x)
+
+
+def test_eta_retries_do_not_repeat_work(monkeypatch):
+    # this solve halves eta 18 times, mostly reselecting the working set
+    # at the same point; none of those retries may rebuild a T x T
+    # Hessian or rerun a line search on a direction that already failed
+    searched, built, selected = [], [], []
+    real_search, real_hessian = nhtp.line_search, nhtp.mer.merit_hessian
+    real_select = nhtp.select_support
+
+    def search(state, d, *args):
+        searched.append((state.x.tobytes(), state.support.tobytes(),
+                         d.tobytes()))
+        return real_search(state, d, *args)
+
+    def hessian(model, inst, x, rows, cols, **kw):
+        if np.array_equal(rows, cols):
+            built.append((x.tobytes(), np.asarray(rows).tobytes()))
+        return real_hessian(model, inst, x, rows, cols, **kw)
+
+    def select(x, *args):
+        T = real_select(x, *args)
+        selected.append((x.tobytes(), T.tobytes()))
+        return T
+
+    monkeypatch.setattr(nhtp, "line_search", search)
+    monkeypatch.setattr(nhtp.mer, "merit_hessian", hessian)
+    monkeypatch.setattr(nhtp, "select_support", select)
+    inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
+    rep = solve(inst, PHI2, SolverConfig(s=5))
+    assert len(set(selected)) < len(selected)  # same T at the same x
+    assert len(set(searched)) == len(searched)
+    assert len(set(built)) == len(built)
+    assert rep.iterations == 6
+    assert rep.termination is Termination.RESIDUAL_MET
+    assert rep.backtracks_total == 922  # 18 halvings of 51, plus 4
+    assert rep.support.tolist() == [44, 150, 203, 226, 408]
 
 
 def test_oversized_start_is_trimmed():
