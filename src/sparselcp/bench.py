@@ -6,6 +6,12 @@ base_seed + trial_index, so any sweep can be reproduced or parallelized
 without changing its results.  Reals are serialized with 17 significant
 digits; with timing disabled the output is byte-for-byte reproducible.
 
+Every experiment is one entry of a single table: a CSV header, a trial
+run on each generated instance, and a function turning one cell's trial
+results into its CSV rows; run_experiment is the one grid loop over it.
+GridPoint and ExperimentSpec check the grid when built, so a bad cell
+fails before any trial runs.
+
 Experiments
 -----------
 success_vs_r / success_vs_s
@@ -36,24 +42,18 @@ from .tuning import TuningConfig, nhtpt_solve, support_count
 
 logger = logging.getLogger("sparselcp.bench")
 
-EXPERIMENTS = (
-    "success_vs_r",
-    "success_vs_s",
-    "scaling",
-    "merit_comparison",
-    "s_selection",
-)
-
 MERIT_ORDER = ("phi_r", "fb", "min", "psi2")
+SELECTION_METHODS = ("Lemke", "NHTP-fixed-s", "NHTPT")
+_F2 = MeritModel.phi_r(2)  # the quadratic merit every experiment reports
 
 
 @dataclass(frozen=True)
 class GridPoint:
     """One cell of an experiment grid.
 
-    s_star : planted sparsity; None = generator default (0.01 n)
-    r : merit exponent for phi_r runs
-    s : solver budget; None = s_star
+    s_star : planted sparsity in [1, n]; None = generator default (0.01 n)
+    r : merit exponent for phi_r runs, at least 2
+    s : solver budget in [1, n]; None = s_star
     """
 
     n: int
@@ -64,8 +64,12 @@ class GridPoint:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.r < 2:
+        if not self.r >= 2:
             raise ValueError("r must be at least 2")
+        for name in ("s_star", "s"):
+            value = getattr(self, name)
+            if value is not None and not 1 <= value <= self.n:
+                raise ValueError(f"{name} must lie in [1, n]")
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class ExperimentSpec:
     parallel: bool = False
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         object.__setattr__(self, "grid", tuple(self.grid))
         if not self.grid:
@@ -96,11 +100,12 @@ class ExperimentSpec:
             raise ValueError("grid entries must be GridPoint")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-
-
-def _gen_spec(spec, point, trial):
-    return GeneratorSpec(spec.example, point.n, s_star=point.s_star,
-                         seed=spec.base_seed + trial)
+        _, trial, cell_rows = _EXPERIMENTS[self.experiment]
+        if trial is _success_trial and self.example == "sdp_uniform_nox":
+            raise ValueError("success sweeps need a ground-truth family")
+        ns = {g.n for g in self.grid}
+        if cell_rows is _merit_rows and len(ns) < len(self.grid):
+            raise ValueError("merit_comparison trace files need distinct n")
 
 
 def _star_of(spec, point):
@@ -113,104 +118,7 @@ def _star_of(spec, point):
 
 
 def _budget(spec, point):
-    if point.s is not None:
-        return point.s
-    return _star_of(spec, point)
-
-
-def _map_trials(spec, fn, args_list):
-    if spec.parallel and len(args_list) > 1:
-        with ProcessPoolExecutor() as pool:
-            return list(pool.map(fn, args_list))
-    return [fn(a) for a in args_list]
-
-
-def _success_trial(args):
-    spec, point = args[0], args[1]
-    gspec = _gen_spec(spec, point, args[2])
-    inst = generate(gspec)
-    if inst.ground_truth is None:
-        raise ValueError("success sweeps need a ground-truth family")
-    model = MeritModel.phi_r(point.r)
-    report = nhtp.solve(inst, model, SolverConfig(s=_budget(spec, point)))
-    return is_success(report.x, inst.ground_truth), report.wall_time
-
-
-def _scaling_trial(args):
-    spec, point = args[0], args[1]
-    inst = generate(_gen_spec(spec, point, args[2]))
-    model = MeritModel.phi_r(point.r)
-    report = nhtp.solve(inst, model, SolverConfig(s=_budget(spec, point)))
-    f2model = MeritModel.phi_r(2)
-    if inst.ground_truth is not None:
-        quality = float(np.linalg.norm(report.x - inst.ground_truth)
-                        / np.linalg.norm(inst.ground_truth))
-    else:
-        quality = merit_value(f2model, inst, report.x)
-    grad2 = float(np.linalg.norm(merit_gradient(f2model, inst, report.x)))
-    return (quality, grad2, support_count(report.x), report.wall_time,
-            report.iterations)
-
-
-def _merit_trial(args):
-    spec, point, trial = args[0], args[1], args[2]
-    inst = generate(_gen_spec(spec, point, trial))
-    f2model = MeritModel.phi_r(2)
-    out = []
-    for kind in MERIT_ORDER:
-        model = (MeritModel.phi_r(point.r) if kind == "phi_r"
-                 else MeritModel(kind))
-        iterates = [] if trial == 0 else None
-        callback = None
-        if iterates is not None:
-            callback = lambda k, x, f: iterates.append(x.copy())  # noqa: E731
-        report = nhtp.solve(inst, model, SolverConfig(s=_budget(spec, point)),
-                            callback=callback)
-        f2 = merit_value(f2model, inst, report.x)
-        trace = None
-        if iterates is not None:
-            trace = [merit_value(f2model, inst, x) for x in iterates]
-        out.append((kind, f2, report.wall_time, report.iterations, trace))
-    return out
-
-
-def _selection_trial(args):
-    spec, point, trial = args[0], args[1], args[2]
-    inst = generate(_gen_spec(spec, point, trial))
-    f2model = MeritModel.phi_r(2)
-    rows = {}
-
-    t0 = time.perf_counter()
-    try:
-        x_lemke, _ = lemke_solve(inst)
-        t_lemke = time.perf_counter() - t0
-        rows["Lemke"] = (merit_value(f2model, inst, x_lemke), t_lemke,
-                         support_count(x_lemke), True)
-    except (RayTermination, PivotLimit):
-        x_lemke = None
-        rows["Lemke"] = (None, None, None, False)
-
-    if inst.ground_truth is not None:
-        s_fixed = max(1, support_count(inst.ground_truth))
-    elif x_lemke is not None:
-        s_fixed = max(1, support_count(x_lemke))
-    else:
-        s_fixed = None
-    if s_fixed is not None:
-        report = nhtp.solve(inst, f2model, SolverConfig(s=s_fixed))
-        rows["NHTP-fixed-s"] = (merit_value(f2model, inst, report.x),
-                                report.wall_time, support_count(report.x),
-                                True)
-    else:
-        rows["NHTP-fixed-s"] = (None, None, None, False)
-
-    t0 = time.perf_counter()
-    report, _rounds = nhtpt_solve(inst, f2model, SolverConfig(s=1),
-                                  TuningConfig())
-    t_tuned = time.perf_counter() - t0
-    rows["NHTPT"] = (merit_value(f2model, inst, report.x), t_tuned,
-                     support_count(report.x), True)
-    return rows
+    return _star_of(spec, point) if point.s is None else point.s
 
 
 def _mean(values):
@@ -222,107 +130,148 @@ def _time_col(spec, value):
     return value if spec.measure_time else 0.0
 
 
-def run_success_sweep(spec):
-    """Success-rate grid; returns CSV rows and writes output_path."""
-    if spec.experiment not in ("success_vs_r", "success_vs_s"):
-        raise ValueError("spec.experiment must be a success sweep")
-    rows = [("n", "s_star", "r_or_s", "success_rate", "mean_time")]
-    for point in spec.grid:
-        args = [(spec, point, t) for t in range(spec.trials)]
-        results = _map_trials(spec, _success_trial, args)
-        rate = sum(ok for ok, _ in results) / spec.trials
-        mean_t = _time_col(spec, _mean([t for _, t in results]))
-        varying = point.r if spec.experiment == "success_vs_r" \
-            else _budget(spec, point)
-        rows.append((point.n, _star_of(spec, point), varying, rate, mean_t))
-        logger.info("success cell n=%d s*=%s: rate=%.3f",
-                    point.n, _star_of(spec, point), rate)
-    _write_csv(spec.output_path, rows)
-    return rows
+def _success_trial(spec, point, trial, inst):
+    model = MeritModel.phi_r(point.r)
+    report = nhtp.solve(inst, model, SolverConfig(s=_budget(spec, point)))
+    return is_success(report.x, inst.ground_truth), report.wall_time
 
 
-def run_scaling_table(spec):
-    """Accuracy/iteration table across the grid; one row per cell."""
-    if spec.experiment != "scaling":
-        raise ValueError("spec.experiment must be 'scaling'")
-    rows = [("method", "n", "rel_error_or_f2", "grad_norm_f2",
-             "support_size", "time", "iterations")]
-    for point in spec.grid:
-        args = [(spec, point, t) for t in range(spec.trials)]
-        results = _map_trials(spec, _scaling_trial, args)
-        rows.append((f"NHTP_{point.r:g}", point.n,
-                     _mean([r[0] for r in results]),
-                     _mean([r[1] for r in results]),
-                     _mean([r[2] for r in results]),
-                     _time_col(spec, _mean([r[3] for r in results])),
-                     _mean([r[4] for r in results])))
-    _write_csv(spec.output_path, rows)
-    return rows
+def _success_rows(spec, point, results):
+    ok, seconds = zip(*results)
+    rate = sum(ok) / spec.trials
+    varying = point.r if spec.experiment == "success_vs_r" \
+        else _budget(spec, point)
+    star = _star_of(spec, point)
+    logger.info("success cell n=%d s*=%s: rate=%.3f", point.n, star, rate)
+    return [(point.n, star, varying, rate, _time_col(spec, _mean(seconds)))]
 
 
-def run_merit_comparison(spec):
-    """Race the four merit functions; emits trace files for trial 0."""
-    if spec.experiment != "merit_comparison":
-        raise ValueError("spec.experiment must be 'merit_comparison'")
-    rows = [("merit", "n", "f2_of_x", "time", "iterations")]
+def _scaling_trial(spec, point, trial, inst):
+    model = MeritModel.phi_r(point.r)
+    report = nhtp.solve(inst, model, SolverConfig(s=_budget(spec, point)))
+    gt = inst.ground_truth
+    if gt is not None:
+        quality = float(np.linalg.norm(report.x - gt) / np.linalg.norm(gt))
+    else:
+        quality = merit_value(_F2, inst, report.x)
+    grad2 = float(np.linalg.norm(merit_gradient(_F2, inst, report.x)))
+    return (quality, grad2, support_count(report.x), report.wall_time,
+            report.iterations)
+
+
+def _scaling_rows(spec, point, results):
+    quality, grad2, support, seconds, iters = map(_mean, zip(*results))
+    return [(f"NHTP_{point.r:g}", point.n, quality, grad2, support,
+             _time_col(spec, seconds), iters)]
+
+
+def _merit_trial(spec, point, trial, inst):
+    """Per merit: (f_2(x), time, iterations, f_2 trace; [] after trial 0)."""
+    out = []
+    for kind in MERIT_ORDER:
+        model = MeritModel(kind, r=float(point.r))  # r only affects phi_r
+        iterates = []
+        callback = None if trial else lambda k, x, f: iterates.append(x.copy())
+        report = nhtp.solve(inst, model, SolverConfig(s=_budget(spec, point)),
+                            callback=callback)
+        out.append((merit_value(_F2, inst, report.x), report.wall_time,
+                    report.iterations,
+                    [merit_value(_F2, inst, x) for x in iterates]))
+    return out
+
+
+def _merit_rows(spec, point, results):
+    """One row per merit; writes the trial-0 trace files, named by n."""
     out = Path(spec.output_path)
-    for point in spec.grid:
-        args = [(spec, point, t) for t in range(spec.trials)]
-        results = _map_trials(spec, _merit_trial, args)
-        for idx, kind in enumerate(MERIT_ORDER):
-            per = [r[idx] for r in results]
-            rows.append((kind, point.n,
-                         _mean([p[1] for p in per]),
-                         _time_col(spec, _mean([p[2] for p in per])),
-                         _mean([p[3] for p in per])))
-            trace = per[0][4]
-            if trace is not None:
-                tpath = out.with_name(
-                    f"{out.stem}_trace_{kind}_n{point.n}.txt")
-                lines = [f"{k} {_fmt(v)}" for k, v in enumerate(trace)]
-                tpath.write_text("\n".join(lines) + "\n")
-    _write_csv(spec.output_path, rows)
+    rows = []
+    for kind, per in zip(MERIT_ORDER, zip(*results)):
+        f2, seconds, iters, traces = zip(*per)
+        rows.append((kind, point.n, _mean(f2), _time_col(spec, _mean(seconds)),
+                     _mean(iters)))
+        lines = [f"{k} {_fmt(v)}" for k, v in enumerate(traces[0])]
+        out.with_name(f"{out.stem}_trace_{kind}_n{point.n}.txt").write_text(
+            "\n".join(lines) + "\n")
     return rows
 
 
-def run_s_selection(spec):
-    """Compare Lemke, fixed-budget pursuit and budget tuning."""
-    if spec.experiment != "s_selection":
-        raise ValueError("spec.experiment must be 's_selection'")
-    rows = [("method", "n", "f2", "time", "support_size", "completed")]
-    for point in spec.grid:
-        args = [(spec, point, t) for t in range(spec.trials)]
-        results = _map_trials(spec, _selection_trial, args)
-        for method in ("Lemke", "NHTP-fixed-s", "NHTPT"):
-            per = [r[method] for r in results]
-            done = [p for p in per if p[3]]
-            rows.append((method, point.n,
-                         _mean([p[0] for p in done]),
-                         _time_col(spec, _mean([p[1] for p in done])),
-                         _mean([p[2] for p in done]),
-                         len(done) / spec.trials))
-    _write_csv(spec.output_path, rows)
+def _selection_trial(spec, point, trial, inst):
+    """Per method: (f_2, time, support size, True), or all None and False."""
+    def completed(x, seconds):
+        return merit_value(_F2, inst, x), seconds, support_count(x), True
+
+    lemke = fixed = (None, None, None, False)
+    t0 = time.perf_counter()
+    try:
+        x_lemke, _ = lemke_solve(inst)
+        lemke = completed(x_lemke, time.perf_counter() - t0)
+    except (RayTermination, PivotLimit):
+        x_lemke = None
+    # the fixed budget is the planted support size, else Lemke's
+    x_ref = inst.ground_truth if inst.ground_truth is not None else x_lemke
+    if x_ref is not None:
+        s_fixed = max(1, support_count(x_ref))
+        report = nhtp.solve(inst, _F2, SolverConfig(s=s_fixed))
+        fixed = completed(report.x, report.wall_time)
+    t0 = time.perf_counter()
+    report, _rounds = nhtpt_solve(inst, _F2, SolverConfig(s=1),
+                                  TuningConfig())
+    return lemke, fixed, completed(report.x, time.perf_counter() - t0)
+
+
+def _selection_rows(spec, point, results):
+    rows = []
+    for method, per in zip(SELECTION_METHODS, zip(*results)):
+        f2, seconds, support, ok = zip(*per)
+        rows.append((method, point.n, _mean(f2),
+                     _time_col(spec, _mean(seconds)), _mean(support),
+                     sum(ok) / spec.trials))
     return rows
+
+
+# name -> (CSV header, trial(spec, point, trial, inst), cell_rows)
+_SUCCESS = (("n", "s_star", "r_or_s", "success_rate", "mean_time"),
+            _success_trial, _success_rows)
+_EXPERIMENTS = {
+    "success_vs_r": _SUCCESS,
+    "success_vs_s": _SUCCESS,
+    "scaling": (("method", "n", "rel_error_or_f2", "grad_norm_f2",
+                 "support_size", "time", "iterations"),
+                _scaling_trial, _scaling_rows),
+    "merit_comparison": (("merit", "n", "f2_of_x", "time", "iterations"),
+                         _merit_trial, _merit_rows),
+    "s_selection": (("method", "n", "f2", "time", "support_size",
+                     "completed"),
+                    _selection_trial, _selection_rows),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def _run_trial(args):
+    """Generate one trial's instance and run the experiment's trial on it;
+    module-level so that worker processes can unpickle it."""
+    spec, point, trial = args
+    inst = generate(GeneratorSpec(spec.example, point.n, s_star=point.s_star,
+                                  seed=spec.base_seed + trial))
+    return _EXPERIMENTS[spec.experiment][1](spec, point, trial, inst)
 
 
 def run_experiment(spec):
-    """Dispatch on spec.experiment; returns the CSV rows written."""
-    runner = {
-        "success_vs_r": run_success_sweep,
-        "success_vs_s": run_success_sweep,
-        "scaling": run_scaling_table,
-        "merit_comparison": run_merit_comparison,
-        "s_selection": run_s_selection,
-    }[spec.experiment]
-    return runner(spec)
-
-
-def _cell(v):
-    if isinstance(v, float):
-        return _fmt(v)
-    return str(v)
+    """Run every cell of spec.grid; writes and returns the CSV rows."""
+    header, _, cell_rows = _EXPERIMENTS[spec.experiment]
+    rows = [header]
+    for point in spec.grid:
+        args = [(spec, point, t) for t in range(spec.trials)]
+        if spec.parallel and spec.trials > 1:
+            with ProcessPoolExecutor() as pool:
+                results = list(pool.map(_run_trial, args))
+        else:
+            results = [_run_trial(a) for a in args]
+        rows.extend(cell_rows(spec, point, results))
+    _write_csv(spec.output_path, rows)
+    return rows
 
 
 def _write_csv(path, rows):
-    text = "\n".join(",".join(_cell(v) for v in row) for row in rows) + "\n"
-    Path(path).write_text(text)
+    text = "\n".join(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in row) for row in rows)
+    Path(path).write_text(text + "\n")

@@ -23,6 +23,16 @@ def _frozen_array(a, dtype=np.float64):
     return out
 
 
+def _check_finite(a, name):
+    """Raise ValueError if a holds a NaN or an infinity.
+
+    NaN and +-inf propagate through min and max, which, unlike
+    np.isfinite(a).all(), allocate no temporary of a's size."""
+    if not (np.isfinite(a.min(initial=0.0))
+            and np.isfinite(a.max(initial=0.0))):
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class LcpInstance:
     """The data (M, q) of a linear complementarity problem.
@@ -31,6 +41,8 @@ class LcpInstance:
     additionally bound the number of nonzeros of x.
 
     ground_truth : optional planted solution used for error reporting
+
+    M, q and ground_truth must be finite; ValueError otherwise.
     """
 
     M: np.ndarray
@@ -44,11 +56,14 @@ class LcpInstance:
             raise ValueError("M must be square")
         if q.shape != (M.shape[0],):
             raise ValueError("q length must match M")
+        _check_finite(M, "M")
+        _check_finite(q, "q")
         gt = self.ground_truth
         if gt is not None:
             gt = _frozen_array(gt)
             if gt.shape != q.shape:
                 raise ValueError("ground truth length must match q")
+            _check_finite(gt, "ground truth")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "ground_truth", gt)

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import merit as mer
-from .core import (SingularError, SolveReport, Termination, dense_solve,
-                   top_s_by_magnitude)
+from .core import (SingularError, SolveReport, Termination, _check_finite,
+                   dense_solve, top_s_by_magnitude)
 
 logger = logging.getLogger("sparselcp.nhtp")
 
@@ -197,9 +197,10 @@ def _initial_supports(x, s, n):
 def solve(inst, model, config, x0=None, callback=None):
     """Run the pursuit on an instance; returns a SolveReport.
 
-    x0 defaults to zero; a start with more than s nonzeros is trimmed to
-    its s largest magnitudes.  callback(k, x, f), when given, observes
-    every iterate including the start; it must not mutate x.
+    x0 defaults to zero and must be finite; a start with more than s
+    nonzeros is trimmed to its s largest magnitudes.  callback(k, x, f),
+    when given, observes every iterate including the start; it must not
+    mutate x.
 
     When a line search exhausts its 51 trial steps the threshold step eta
     is halved and the iteration retried from the same point; a retry that
@@ -218,6 +219,7 @@ def solve(inst, model, config, x0=None, callback=None):
         x = np.array(x0, dtype=np.float64)
         if x.shape != (n,):
             raise ValueError("x0 length must match the instance")
+        _check_finite(x, "x0")
     x, prev_T = _initial_supports(x, s, n)
     t_start = time.perf_counter()
     eta_floor = eta * 2.0**-40

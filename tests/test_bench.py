@@ -25,6 +25,14 @@ def test_grid_point_validation():
         GridPoint(0)
     with pytest.raises(ValueError):
         GridPoint(10, r=1.5)
+    with pytest.raises(ValueError):
+        GridPoint(10, r=float("nan"))
+    # s_star and s must lie in [1, n] (the CLI cells "40:41", "40:2:2:0")
+    for kw in ({"s_star": 41}, {"s_star": 0}, {"s_star": 2, "s": 0},
+               {"s_star": 2, "s": 41}):
+        with pytest.raises(ValueError, match="must lie in"):
+            GridPoint(40, **kw)
+    assert GridPoint(40, s_star=40, s=1).s == 1
 
 
 def test_experiment_spec_validation(tmp_path):
@@ -37,6 +45,24 @@ def test_experiment_spec_validation(tmp_path):
         ExperimentSpec("scaling", grid, str(tmp_path / "x.csv"), trials=0)
     assert set(EXPERIMENTS) == {"success_vs_r", "success_vs_s", "scaling",
                                 "merit_comparison", "s_selection"}
+    # success sweeps need a planted solution; other experiments take the
+    # family without one
+    for experiment in ("success_vs_r", "success_vs_s"):
+        with pytest.raises(ValueError, match="ground-truth family"):
+            ExperimentSpec(experiment, grid, str(tmp_path / "x.csv"),
+                           example="sdp_uniform_nox")
+    ExperimentSpec("scaling", grid, str(tmp_path / "x.csv"),
+                   example="sdp_uniform_nox")
+
+
+def test_merit_comparison_rejects_cells_sharing_n(tmp_path):
+    # trace files are named by n, so a second n=40 cell would overwrite
+    # the first cell's traces
+    grid = (GridPoint(40, s_star=2, r=2.0), GridPoint(40, s_star=2, r=3.0))
+    with pytest.raises(ValueError, match="distinct n"):
+        ExperimentSpec("merit_comparison", grid, str(tmp_path / "m.csv"))
+    # other experiments may repeat n
+    ExperimentSpec("scaling", grid, str(tmp_path / "s.csv"))
 
 
 def test_success_sweep_schema_and_rates(tmp_path):
@@ -75,13 +101,22 @@ def test_sweep_is_byte_identical_across_runs(tmp_path):
 
 
 def test_parallel_matches_serial(tmp_path):
+    # every experiment goes through the same grid loop; fanning its trials
+    # out over processes changes no row, no CSV byte and no trace file
     grid = (GridPoint(40, s_star=2), GridPoint(50, s_star=2))
-    serial = spec_for(tmp_path, "success_vs_r", grid, name="serial.csv")
-    parallel = spec_for(tmp_path, "success_vs_r", grid, name="par.csv",
-                        parallel=True)
-    assert run_experiment(serial) == run_experiment(parallel)
-    assert ((tmp_path / "serial.csv").read_bytes()
-            == (tmp_path / "par.csv").read_bytes())
+    for experiment in EXPERIMENTS:
+        outputs = []
+        for parallel in (False, True):
+            d = tmp_path / f"{experiment}_{parallel}"
+            d.mkdir()
+            spec = spec_for(d, experiment, grid, parallel=parallel)
+            rows = run_experiment(spec)
+            files = {p.name: p.read_bytes() for p in d.iterdir()}
+            outputs.append((rows, files))
+        assert outputs[0] == outputs[1], experiment
+        # the merit race writes 4 trace files per cell beside the CSV
+        n_files = 9 if experiment == "merit_comparison" else 1
+        assert len(outputs[0][1]) == n_files, experiment
 
 
 def test_scaling_schema_on_exact_family(tmp_path):

@@ -73,11 +73,21 @@ def test_warm_start_conflicts_with_start_file(tmp_path, capsys):
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):
-    # non-finite data drives the solver into its line-search failure stop
-    bad = write_instance(tmp_path, [[1.0]], [np.nan], name="nan.txt")
-    code = main(["solve", "--instance", bad, "--s", "1"])
+    # a merit that overflows at the start drives the solver into its
+    # line-search failure stop
+    bad = write_instance(tmp_path, [[1.0]], [-1e300], name="huge.txt")
+    with np.errstate(over="ignore"):
+        code = main(["solve", "--instance", bad, "--s", "1"])
     assert code == 2
     assert "line_search_failed" in capsys.readouterr().out
+
+
+def test_non_finite_instance_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "nan.txt"
+    bad.write_text("1\n1\nnan\n")
+    assert main(["solve", "--instance", str(bad), "--s", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err
 
 
 def test_lemke_subcommand_and_ray_exit(tmp_path, capsys):
@@ -147,7 +157,8 @@ def test_bench_grid_placeholders(tmp_path):
 
 def test_bench_rejects_bad_grid(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    for grid in ("oops", "20:-:0"):
+    # s_star or s outside [1, n] is rejected before any trial runs
+    for grid in ("oops", "20:-:0", "40:41", "40:2:2:0", "40:2;40:41"):
         assert main(["bench", "--experiment", "scaling", "--grid", grid,
                      "--trials", "1", "--out", str(out)]) == 1
         assert "bad --grid" in capsys.readouterr().err

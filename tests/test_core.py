@@ -108,6 +108,15 @@ def test_instance_validation_and_freezing():
         LcpInstance(np.eye(2), np.ones(3))
     with pytest.raises(ValueError):
         LcpInstance(np.eye(2), np.ones(2), ground_truth=np.ones(3))
+    # non-finite data is rejected up front, whichever array carries it
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="M must be finite"):
+            LcpInstance(np.array([[1.0, bad], [0.0, 1.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="q must be finite"):
+            LcpInstance(np.eye(2), np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="ground truth must be finite"):
+            LcpInstance(np.eye(2), np.ones(2),
+                        ground_truth=np.array([bad, 0.0]))
 
 
 def test_solver_config_validation():

@@ -267,6 +267,9 @@ def test_solve_input_validation():
         solve(inst, PHI2, SolverConfig(s=3))  # s > n
     with pytest.raises(ValueError):
         solve(inst, PHI2, SolverConfig(s=1), x0=np.ones(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            solve(inst, PHI2, SolverConfig(s=1), x0=np.array([1.0, bad]))
 
 
 def test_iteration_cap_termination():
@@ -280,14 +283,15 @@ def test_iteration_cap_termination():
 
 
 def test_line_search_failure_on_non_decreasable_merit():
-    # non-finite data makes every Armijo comparison fail; the solver
-    # walks its step-size ladder down to the floor and reports the
-    # failure instead of looping forever
-    inst = LcpInstance(np.array([[1.0]]), np.array([np.nan]))
-    rep = solve(inst, PHI2, SolverConfig(s=1))
+    # the merit overflows to inf at the start, so every Armijo comparison
+    # fails; the solver walks its step-size ladder down to the floor and
+    # reports the failure instead of looping forever
+    inst = LcpInstance(np.array([[1.0]]), np.array([-1e300]))
+    with np.errstate(over="ignore"):
+        rep = solve(inst, PHI2, SolverConfig(s=1))
     assert rep.termination is Termination.LINE_SEARCH_FAILED
     assert rep.iterations == 0
-    assert np.isnan(rep.objective)
+    assert np.isinf(rep.objective)
 
 
 def test_explicit_eta_is_honored():
