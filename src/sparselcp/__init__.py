@@ -15,9 +15,8 @@ from .lemke import PivotLimit, RayTermination, Tableau, lemke_solve
 from .merit import MeritModel, merit_gradient, merit_hessian, merit_value
 from .nhtp import (IterateState, fallback_direction, line_search,
                    newton_direction, residual, select_support, solve)
-from .problems import (CombinatorialLimit, GeneratorSpec, Rng, gen_sdp,
-                       gen_sdp_nox, gen_z_matrix, generate, is_ps_matrix,
-                       is_psd, is_success, is_z_matrix)
+from .problems import (CombinatorialLimit, GeneratorSpec, Rng, generate,
+                       is_ps_matrix, is_psd, is_success, is_z_matrix)
 from .tuning import TuningConfig, lemke_seeded_s, nhtpt_solve, support_count
 
 __all__ = [
@@ -29,8 +28,7 @@ __all__ = [
     "MeritModel", "merit_gradient", "merit_hessian", "merit_value",
     "IterateState", "fallback_direction", "line_search",
     "newton_direction", "residual", "select_support", "solve",
-    "CombinatorialLimit", "GeneratorSpec", "Rng", "gen_sdp",
-    "gen_sdp_nox", "gen_z_matrix", "generate", "is_ps_matrix",
-    "is_psd", "is_success", "is_z_matrix",
+    "CombinatorialLimit", "GeneratorSpec", "Rng", "generate",
+    "is_ps_matrix", "is_psd", "is_success", "is_z_matrix",
     "TuningConfig", "lemke_seeded_s", "nhtpt_solve", "support_count",
 ]

@@ -36,13 +36,12 @@ import numpy as np
 from . import nhtp
 from .core import SolverConfig, _fmt
 from .lemke import PivotLimit, RayTermination, lemke_solve
-from .merit import MeritModel, merit_gradient, merit_value
-from .problems import GeneratorSpec, generate, is_success
+from .merit import KINDS, MeritModel, merit_gradient, merit_value
+from .problems import PLANTED, GeneratorSpec, generate, is_success
 from .tuning import TuningConfig, nhtpt_solve, support_count
 
 logger = logging.getLogger("sparselcp.bench")
 
-MERIT_ORDER = ("phi_r", "fb", "min", "psi2")
 SELECTION_METHODS = ("Lemke", "NHTP-fixed-s", "NHTPT")
 _F2 = MeritModel.phi_r(2)  # the quadratic merit every experiment reports
 
@@ -51,7 +50,9 @@ _F2 = MeritModel.phi_r(2)  # the quadratic merit every experiment reports
 class GridPoint:
     """One cell of an experiment grid.
 
-    s_star : planted sparsity in [1, n]; None = generator default (0.01 n)
+    s_star : planted sparsity in [1, n]; None = the family's default
+        (GeneratorSpec.resolved_s_star); an explicit value must be what
+        the family plants, which ExperimentSpec checks
     r : merit exponent for phi_r runs, at least 2
     s : solver budget in [1, n]; None = s_star
     """
@@ -77,8 +78,9 @@ class ExperimentSpec:
     """A full experiment: what to run, over which grid, and where.
 
     example names the instance family; measure_time=False writes 0.0 in
-    every time column so reruns are byte-identical; parallel fans trials
-    out over processes without changing seeds or row order.
+    every time column so reruns are byte-identical; parallel fans every
+    (cell, trial) pair out over one process pool without changing seeds
+    or row order.
     """
 
     experiment: str
@@ -101,20 +103,22 @@ class ExperimentSpec:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         _, trial, cell_rows = _EXPERIMENTS[self.experiment]
-        if trial is _success_trial and self.example == "sdp_uniform_nox":
+        if trial is _success_trial and self.example not in PLANTED:
             raise ValueError("success sweeps need a ground-truth family")
+        for g in self.grid:
+            star = _star_of(self, g)
+            if g.s_star not in (None, star):
+                raise ValueError(f"{self.example} plants s_star={star}, "
+                                 f"not {g.s_star}")
         ns = {g.n for g in self.grid}
         if cell_rows is _merit_rows and len(ns) < len(self.grid):
             raise ValueError("merit_comparison trace files need distinct n")
 
 
 def _star_of(spec, point):
-    """Planted sparsity of the cell: explicit, or the family default."""
-    if point.s_star is not None:
-        return point.s_star
-    if spec.example == "zmatrix":
-        return 1
-    return GeneratorSpec(spec.example, point.n).resolved_s_star
+    """Planted sparsity of the cell, as its family resolves it."""
+    return GeneratorSpec(spec.example, point.n,
+                         s_star=point.s_star).resolved_s_star
 
 
 def _budget(spec, point):
@@ -168,7 +172,7 @@ def _scaling_rows(spec, point, results):
 def _merit_trial(spec, point, trial, inst):
     """Per merit: (f_2(x), time, iterations, f_2 trace; [] after trial 0)."""
     out = []
-    for kind in MERIT_ORDER:
+    for kind in KINDS:
         model = MeritModel(kind, r=float(point.r))  # r only affects phi_r
         iterates = []
         callback = None if trial else lambda k, x, f: iterates.append(x.copy())
@@ -184,7 +188,7 @@ def _merit_rows(spec, point, results):
     """One row per merit; writes the trial-0 trace files, named by n."""
     out = Path(spec.output_path)
     rows = []
-    for kind, per in zip(MERIT_ORDER, zip(*results)):
+    for kind, per in zip(KINDS, zip(*results)):
         f2, seconds, iters, traces = zip(*per)
         rows.append((kind, point.n, _mean(f2), _time_col(spec, _mean(seconds)),
                      _mean(iters)))
@@ -258,15 +262,17 @@ def _run_trial(args):
 def run_experiment(spec):
     """Run every cell of spec.grid; writes and returns the CSV rows."""
     header, _, cell_rows = _EXPERIMENTS[spec.experiment]
+    tasks = [(spec, point, t) for point in spec.grid
+             for t in range(spec.trials)]
+    if spec.parallel and len(tasks) > 1:
+        with ProcessPoolExecutor() as pool:
+            results = list(pool.map(_run_trial, tasks))
+    else:
+        results = [_run_trial(t) for t in tasks]
     rows = [header]
-    for point in spec.grid:
-        args = [(spec, point, t) for t in range(spec.trials)]
-        if spec.parallel and spec.trials > 1:
-            with ProcessPoolExecutor() as pool:
-                results = list(pool.map(_run_trial, args))
-        else:
-            results = [_run_trial(a) for a in args]
-        rows.extend(cell_rows(spec, point, results))
+    for i, point in enumerate(spec.grid):
+        cell = results[i * spec.trials:(i + 1) * spec.trials]
+        rows.extend(cell_rows(spec, point, cell))
     _write_csv(spec.output_path, rows)
     return rows
 

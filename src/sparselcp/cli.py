@@ -50,27 +50,20 @@ def _setup_logging():
         format="%(name)s %(levelname)s %(message)s")
 
 
-def _merit_from(args):
-    if args.merit == "phi_r":
-        return MeritModel.phi_r(args.r)
-    return MeritModel(args.merit)
+def _given(args, *names):
+    """The named flags the user set, as keyword arguments: a flag left
+    out takes the library's default."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
-def _solver_config(args, s):
-    kw = {"s": s}
-    for name in ("eta", "sigma", "beta", "tol"):
-        v = getattr(args, name)
-        if v is not None:
-            kw[name] = v
-    if args.maxiter is not None:
-        kw["max_iter"] = args.maxiter
-    return SolverConfig(**kw)
+_SOLVER_FLAGS = ("eta", "sigma", "beta", "tol", "max_iter")
 
 
 def _add_solver_flags(p, with_s=True):
     p.add_argument("--instance", required=True, help="instance file path")
     p.add_argument("--merit", choices=KINDS, default="phi_r")
-    p.add_argument("--r", type=float, default=2.0,
+    p.add_argument("--r", type=float,
                    help="exponent for the phi_r merit (default 2)")
     if with_s:
         p.add_argument("--s", type=int, help="sparsity budget")
@@ -78,7 +71,8 @@ def _add_solver_flags(p, with_s=True):
     p.add_argument("--sigma", type=float, help="slope fraction")
     p.add_argument("--beta", type=float, help="backtracking shrink factor")
     p.add_argument("--tol", type=float, help="stationarity tolerance")
-    p.add_argument("--maxiter", type=int, help="iteration cap")
+    p.add_argument("--maxiter", type=int, dest="max_iter",
+                   metavar="MAXITER", help="iteration cap")
 
 
 def _print_nonzeros(x):
@@ -101,8 +95,8 @@ def _print_report(inst, report):
 
 
 def _cmd_gen(args):
-    spec = GeneratorSpec(args.example, args.n, s_star=args.sstar,
-                         m=args.m, seed=args.seed)
+    spec = GeneratorSpec(args.example, args.n,
+                         **_given(args, "s_star", "m", "seed"))
     inst = generate(spec)
     save_instance(inst, args.out)
     print(f"wrote {args.out} (n={inst.n}, example={args.example})")
@@ -127,7 +121,8 @@ def _cmd_solve(args):
         print("--s is required unless --warm-start-lemke sets it",
               file=sys.stderr)
         return 1
-    report = nhtp.solve(inst, _merit_from(args), _solver_config(args, s),
+    report = nhtp.solve(inst, MeritModel(args.merit, **_given(args, "r")),
+                        SolverConfig(s=s, **_given(args, *_SOLVER_FLAGS)),
                         x0=x0)
     _print_report(inst, report)
     return 2 if report.termination is Termination.LINE_SEARCH_FAILED else 0
@@ -135,10 +130,10 @@ def _cmd_solve(args):
 
 def _cmd_tune(args):
     inst = load_instance(args.instance)
-    tuning = TuningConfig(s0=args.s0, rho=args.rho, eps=args.eps,
-                          max_rounds=args.max_rounds)
-    report, rounds = nhtpt_solve(inst, _merit_from(args),
-                                 _solver_config(args, 1), tuning)
+    report, rounds = nhtpt_solve(
+        inst, MeritModel(args.merit, **_given(args, "r")),
+        SolverConfig(s=1, **_given(args, *_SOLVER_FLAGS)),
+        TuningConfig(**_given(args, "s0", "rho", "eps", "max_rounds")))
     print(f"rounds:      {rounds}")
     print(f"final s:     {report.support.size}")
     _print_report(inst, report)
@@ -147,8 +142,7 @@ def _cmd_tune(args):
 
 def _cmd_lemke(args):
     inst = load_instance(args.instance)
-    x, pivots = lemke_solve(inst, pivot_tol=args.pivot_tol,
-                            max_pivots=args.max_pivots)
+    x, pivots = lemke_solve(inst, **_given(args, "pivot_tol", "max_pivots"))
     f2 = merit_value(MeritModel.phi_r(2), inst, x)
     print(f"pivots:      {pivots}")
     print(f"f2:          {f2:.6e}")
@@ -164,17 +158,12 @@ def _parse_grid(text):
         cell = cell.strip()
         if not cell:
             continue
-        parts = (cell.split(":") + ["-"] * 4)[:4]
-
-        def val(i, conv):
-            return None if parts[i] in ("", "-") else conv(parts[i])
-
-        n = val(0, int)
-        if n is None:
+        kw = {name: conv(text) for name, conv, text
+              in zip(("n", "s_star", "r", "s"), (int, int, float, int),
+                     cell.split(":")) if text not in ("", "-")}
+        if "n" not in kw:
             raise ValueError(f"grid cell {cell!r} lacks n")
-        r = val(2, float)
-        points.append(GridPoint(n, s_star=val(1, int),
-                                r=2.0 if r is None else r, s=val(3, int)))
+        points.append(GridPoint(**kw))
     if not points:
         raise ValueError("empty grid")
     return tuple(points)
@@ -187,10 +176,9 @@ def _cmd_bench(args):
         print(f"bad --grid: {exc}", file=sys.stderr)
         return 1
     spec = ExperimentSpec(args.experiment, grid, args.out,
-                          example=args.example, trials=args.trials,
-                          base_seed=args.seed,
                           measure_time=not args.no_timing,
-                          parallel=args.parallel)
+                          parallel=args.parallel,
+                          **_given(args, "example", "trials", "base_seed"))
     rows = run_experiment(spec)
     print(f"wrote {args.out} ({len(rows) - 1} data rows)")
     return 0
@@ -205,8 +193,9 @@ def build_parser():
     p.add_argument("--example", choices=EXAMPLES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, help="factor inner dimension")
-    p.add_argument("--sstar", type=int, help="planted sparsity")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sstar", type=int, dest="s_star", metavar="SSTAR",
+                   help="planted sparsity")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen)
 
@@ -222,25 +211,25 @@ def build_parser():
     _add_solver_flags(p, with_s=False)
     p.add_argument("--s0", type=int, help="starting budget")
     p.add_argument("--rho", type=float, help="budget growth factor")
-    p.add_argument("--eps", type=float, default=1e-8,
+    p.add_argument("--eps", type=float,
                    help="accept when the merit drops below this")
-    p.add_argument("--max-rounds", type=int, default=30)
+    p.add_argument("--max-rounds", type=int)
     p.set_defaults(fn=_cmd_tune)
 
     p = sub.add_parser("lemke", help="complementary pivoting baseline")
     p.add_argument("--instance", required=True)
-    p.add_argument("--pivot-tol", type=float, default=1e-9)
+    p.add_argument("--pivot-tol", type=float)
     p.add_argument("--max-pivots", type=int)
     p.set_defaults(fn=_cmd_lemke)
 
     p = sub.add_parser("bench", help="run an experiment sweep")
     p.add_argument("--experiment", choices=EXPERIMENTS, required=True)
-    p.add_argument("--example", choices=EXAMPLES, default="sdp_gaussian")
+    p.add_argument("--example", choices=EXAMPLES)
     p.add_argument("--grid", required=True,
                    help="cells 'n:sstar:r:s' separated by ';', '-' for "
                         "defaults, e.g. '500:5;1000:10:2.5:20'")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int, dest="base_seed", metavar="SEED")
     p.add_argument("--out", required=True)
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--no-timing", action="store_true",

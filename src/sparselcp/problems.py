@@ -25,7 +25,7 @@ BLAS setup they repeat exactly.  The pipeline:
     i = n-1 down to 1, j = floor(u * (i+1)) with one fresh uniform u,
     swap positions i and j.
 
-Stream consumption order per generator is documented on each function.
+Stream consumption order per family is documented on each builder.
 """
 
 import itertools
@@ -93,6 +93,7 @@ class Rng:
 
 
 EXAMPLES = ("zmatrix", "sdp_gaussian", "sdp_uniform", "sdp_uniform_nox")
+PLANTED = ("zmatrix", "sdp_gaussian", "sdp_uniform")  # carry ground_truth
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ class GeneratorSpec:
 
     m (factor inner dimension) defaults to n/2, or n/4 for
     sdp_uniform_nox, rounded down with minimum 1.  s_star defaults to
-    0.01 n rounded up.
+    0.01 n rounded up.  zmatrix ignores s_star, m and seed: it always
+    plants e_1, so its resolved_s_star is 1.
     """
 
     example: str
@@ -129,16 +131,26 @@ class GeneratorSpec:
 
     @property
     def resolved_s_star(self):
+        """Planted sparsity; for sdp_uniform_nox, the count of q_i < 0."""
+        if self.example == "zmatrix":
+            return 1
         if self.s_star is not None:
             return self.s_star
         return max(1, math.ceil(0.01 * self.n))
 
 
-def gen_z_matrix(n):
+def generate(spec):
+    """Build the instance a GeneratorSpec describes."""
+    if spec.example == "zmatrix":
+        return _zmatrix(spec.n)
+    return _psd(spec)
+
+
+def _zmatrix(n):
     """Deterministic family: M = I - ee^T/n, q = e/n - e_1.
 
     M is a positive semidefinite Z-matrix and x* = e_1 solves the problem
-    exactly (M x* + q = 0).
+    exactly (M x* + q = 0).  No randomness: s_star, m and seed are unused.
     """
     M = np.eye(n) - np.full((n, n), 1.0 / n)
     q = np.full(n, 1.0 / n)
@@ -148,22 +160,21 @@ def gen_z_matrix(n):
     return LcpInstance(M, q, ground_truth=gt)
 
 
-def gen_sdp(spec):
-    """Random PSD family M = Z Z^T with a planted sparse solution.
+def _psd(spec):
+    """Random PSD families M = Z Z^T, Z of shape (n, m): standard normal
+    for sdp_gaussian, from the open interval (0, 1) otherwise.  T holds
+    the first s_star entries of a random permutation.  sdp_uniform_nox
+    plants nothing: q_i = -u on T and +u elsewhere, u in (0, 1).  The
+    others plant x* with 0.1 + |N(0,1)| values on T; q is -(M x*)_i on T
+    and, off T, |(M x*)_i| (gaussian) or a fresh (0, 1) draw (uniform),
+    making x* an exact solution.
 
-    sdp_gaussian draws Z standard normal; sdp_uniform draws Z from the
-    open interval (0, 1).  The planted x* puts 0.1 + |N(0,1)| values on
-    s_star positions chosen by a random permutation.  q is -(M x*)_i on
-    the support; off support it is |(M x*)_i| (gaussian) or a fresh (0,1)
-    draw (uniform), making x* an exact solution.
-
-    Stream order: Z row-major (n*m draws), then the permutation (n-1
-    uniforms), then the support values (2*ceil(s_star/2) uniforms via
-    Box-Muller), then -- uniform case only -- one (0,1) draw per
-    off-support index in ascending index order.
+    Stream order: Z row-major (n*m draws), the permutation (n-1
+    uniforms), then for sdp_uniform_nox one (0, 1) draw per index in
+    ascending order, negated on T; otherwise the support values
+    (2*ceil(s_star/2) uniforms via Box-Muller) and, for sdp_uniform only,
+    one (0, 1) draw per off-support index in ascending order.
     """
-    if spec.example not in ("sdp_gaussian", "sdp_uniform"):
-        raise ValueError("spec.example must be sdp_gaussian or sdp_uniform")
     n, m, s_star = spec.n, spec.resolved_m, spec.resolved_s_star
     rng = Rng(spec.seed)
     gaussian = spec.example == "sdp_gaussian"
@@ -172,8 +183,12 @@ def gen_sdp(spec):
     else:
         Z = rng.uniforms_open(n * m).reshape(n, m)
     M = Z @ Z.T
-    perm = rng.permutation(n)
-    supp = perm[:s_star]
+    del Z  # free the factor before LcpInstance copies M
+    supp = rng.permutation(n)[:s_star]
+    if spec.example not in PLANTED:
+        q = rng.uniforms_open(n)
+        q[supp] = -q[supp]
+        return LcpInstance(M, q)
     xs = np.zeros(n)
     xs[supp] = 0.1 + np.abs(rng.normals(s_star))
     Mx = M @ xs
@@ -185,39 +200,6 @@ def gen_sdp(spec):
         q[off] = rng.uniforms_open(off.size)
     q[supp] = -Mx[supp]
     return LcpInstance(M, q, ground_truth=xs)
-
-
-def gen_sdp_nox(spec):
-    """Random nonnegative PSD family without a planted solution.
-
-    M = Z Z^T with Z drawn from (0, 1) and m defaulting to n/4.  A random
-    index set T of size s_star receives q_i = -u with u in (0, 1); all
-    other indices receive q_i = +u.  Exactly s_star entries of q are
-    strictly negative.
-
-    Stream order: Z row-major, the permutation (n-1 uniforms), then one
-    (0, 1) draw per index in ascending index order, negated on T.
-    """
-    if spec.example != "sdp_uniform_nox":
-        raise ValueError("spec.example must be sdp_uniform_nox")
-    n, m, s_star = spec.n, spec.resolved_m, spec.resolved_s_star
-    rng = Rng(spec.seed)
-    Z = rng.uniforms_open(n * m).reshape(n, m)
-    M = Z @ Z.T
-    on_t = np.zeros(n, dtype=bool)
-    on_t[rng.permutation(n)[:s_star]] = True
-    q = rng.uniforms_open(n)
-    q[on_t] = -q[on_t]
-    return LcpInstance(M, q)
-
-
-def generate(spec):
-    """Dispatch a GeneratorSpec to its family."""
-    if spec.example == "zmatrix":
-        return gen_z_matrix(spec.n)
-    if spec.example == "sdp_uniform_nox":
-        return gen_sdp_nox(spec)
-    return gen_sdp(spec)
 
 
 def is_z_matrix(M):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparselcp import bench
 from sparselcp.bench import (EXPERIMENTS, ExperimentSpec, GridPoint,
                              run_experiment)
 
@@ -53,6 +54,22 @@ def test_experiment_spec_validation(tmp_path):
                            example="sdp_uniform_nox")
     ExperimentSpec("scaling", grid, str(tmp_path / "x.csv"),
                    example="sdp_uniform_nox")
+
+
+def test_cells_must_match_what_the_family_plants(tmp_path):
+    # zmatrix plants e_1, so a cell claiming s_star = 5 would write a
+    # sparsity the instance does not have; the spec rejects it when built
+    for grid in ((GridPoint(30, s_star=5),),
+                 (GridPoint(30, s_star=1), GridPoint(30, s_star=5))):
+        with pytest.raises(ValueError, match="plants s_star=1, not 5"):
+            ExperimentSpec("success_vs_r", grid, str(tmp_path / "z.csv"),
+                           example="zmatrix")
+    for grid in ((GridPoint(30),), (GridPoint(30, s_star=1),)):
+        ExperimentSpec("success_vs_r", grid, str(tmp_path / "z.csv"),
+                       example="zmatrix")
+    with pytest.raises(ValueError, match="unknown example"):
+        ExperimentSpec("scaling", (GridPoint(30),), str(tmp_path / "z.csv"),
+                       example="bogus")
 
 
 def test_merit_comparison_rejects_cells_sharing_n(tmp_path):
@@ -117,6 +134,23 @@ def test_parallel_matches_serial(tmp_path):
         # the merit race writes 4 trace files per cell beside the CSV
         n_files = 9 if experiment == "merit_comparison" else 1
         assert len(outputs[0][1]) == n_files, experiment
+
+
+def test_parallel_run_starts_one_pool(tmp_path, monkeypatch):
+    # every (cell, trial) pair goes through one pool, not one per cell
+    pools = []
+
+    class CountingPool(bench.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", CountingPool)
+    grid = (GridPoint(30, s_star=1), GridPoint(35, s_star=1),
+            GridPoint(40, s_star=2))
+    rows = run_experiment(spec_for(tmp_path, "scaling", grid, parallel=True))
+    assert len(pools) == 1
+    assert len(rows) == 4
 
 
 def test_scaling_schema_on_exact_family(tmp_path):

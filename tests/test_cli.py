@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparselcp import bench
 from sparselcp.cli import main
 from sparselcp.core import LcpInstance, load_instance, save_instance
 
@@ -162,6 +163,19 @@ def test_bench_rejects_bad_grid(tmp_path, capsys):
         assert main(["bench", "--experiment", "scaling", "--grid", grid,
                      "--trials", "1", "--out", str(out)]) == 1
         assert "bad --grid" in capsys.readouterr().err
+
+
+def test_bench_rejects_sparsity_the_family_does_not_plant(tmp_path, capsys,
+                                                         monkeypatch):
+    # zmatrix plants e_1: an explicit s_star of 5 is an input error, found
+    # before any trial runs
+    monkeypatch.setattr(bench, "_run_trial", None)
+    out = tmp_path / "z.csv"
+    assert main(["bench", "--experiment", "success_vs_r", "--example",
+                 "zmatrix", "--grid", "30:5", "--trials", "1", "--out",
+                 str(out), "--no-timing"]) == 1
+    assert "zmatrix plants s_star=1, not 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,5 +1,6 @@
 """Every script in demos/ runs to completion against the current API."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,11 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_cleanly(demo):
-    # run from the repository root with the inherited environment, so a
-    # relative PYTHONPATH such as "src" finds the same package
+    # run from the repository root with <root>/src ahead of the inherited
+    # PYTHONPATH, so the demos import this checkout's package
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -2,14 +2,15 @@
 class predicates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sparselcp.merit import MeritModel, merit_value
 from sparselcp.problems import (CombinatorialLimit, GeneratorSpec, Rng,
-                                gen_z_matrix, generate, is_ps_matrix, is_psd,
-                                is_success, is_z_matrix)
+                                generate, is_ps_matrix, is_psd, is_success,
+                                is_z_matrix)
 
 PHI2 = MeritModel.phi_r(2)
 
@@ -116,7 +117,7 @@ def test_spec_validation_and_defaults():
 
 
 def test_z_matrix_family_is_exact():
-    inst = gen_z_matrix(3)
+    inst = generate(GeneratorSpec("zmatrix", 3))
     third = 1.0 / 3.0
     assert np.array_equal(inst.M, np.eye(3) - np.full((3, 3), third))
     assert np.array_equal(inst.q, np.array([third - 1.0, third, third]))
@@ -126,6 +127,27 @@ def test_z_matrix_family_is_exact():
     assert np.array_equal(inst.M @ inst.ground_truth + inst.q, np.zeros(3))
     assert is_z_matrix(inst.M)
     assert is_psd(inst.M)
+
+
+def test_z_matrix_family_plants_one_nonzero():
+    # zmatrix always plants e_1, whatever s_star asks for
+    assert GeneratorSpec("zmatrix", 500).resolved_s_star == 1
+    spec = GeneratorSpec("zmatrix", 500, s_star=5)
+    assert spec.resolved_s_star == 1
+    assert np.count_nonzero(generate(spec).ground_truth) == 1
+
+
+def test_generation_frees_the_factor():
+    # the factor Z is released once M = Z Z^T exists, so the peak is M
+    # plus the instance's own frozen copy of it
+    spec = GeneratorSpec("sdp_gaussian", 1000, m=500)
+    tracemalloc.start()
+    try:
+        inst = generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * inst.M.nbytes
 
 
 def test_z_matrix_family_ignores_scale():
