@@ -53,7 +53,7 @@ class GridPoint:
     s_star : planted sparsity in [1, n]; None = the family's default
         (GeneratorSpec.resolved_s_star); an explicit value must be what
         the family plants, which ExperimentSpec checks
-    r : merit exponent for phi_r runs, at least 2
+    r : merit exponent for phi_r runs, finite and at least 2
     s : solver budget in [1, n]; None = s_star
     """
 
@@ -65,8 +65,7 @@ class GridPoint:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not self.r >= 2:
-            raise ValueError("r must be at least 2")
+        MeritModel.phi_r(self.r)  # raises on an r phi_r does not take
         for name in ("s_star", "s"):
             value = getattr(self, name)
             if value is not None and not 1 <= value <= self.n:
@@ -102,6 +101,9 @@ class ExperimentSpec:
             raise ValueError("grid entries must be GridPoint")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        out_dir = Path(self.output_path).parent
+        if not out_dir.is_dir():
+            raise ValueError(f"output directory {out_dir} does not exist")
         _, trial, cell_rows = _EXPERIMENTS[self.experiment]
         if trial is _success_trial and self.example not in PLANTED:
             raise ValueError("success sweeps need a ground-truth family")

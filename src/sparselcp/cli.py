@@ -158,9 +158,12 @@ def _parse_grid(text):
         cell = cell.strip()
         if not cell:
             continue
+        fields = cell.split(":")
+        if len(fields) > 4:
+            raise ValueError(f"grid cell {cell!r} has more than 4 fields")
         kw = {name: conv(text) for name, conv, text
               in zip(("n", "s_star", "r", "s"), (int, int, float, int),
-                     cell.split(":")) if text not in ("", "-")}
+                     fields) if text not in ("", "-")}
         if "n" not in kw:
             raise ValueError(f"grid cell {cell!r} lacks n")
         points.append(GridPoint(**kw))

@@ -78,10 +78,10 @@ class SolverConfig:
     """Parameters of the sparse Newton pursuit solver.
 
     s : sparsity budget (1 <= s <= n, checked at solve time)
-    eta : thresholding step; None picks 5 when n <= 1000 else 1
+    eta : thresholding step, finite; None picks 5 when n <= 1000 else 1
     sigma : Armijo slope fraction, in (0, 0.5)
     beta : backtracking shrink factor, in (0, 1)
-    tol : halting threshold on the stationarity residual
+    tol : halting threshold on the stationarity residual, finite
     max_iter : outer iteration cap
 
     The descent-test curvature floors, the objective-stall threshold and
@@ -98,14 +98,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be at least 1")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if self.eta is not None and not 0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
         if not 0 < self.sigma < 0.5:
             raise ValueError("sigma must lie in (0, 0.5)")
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0 <= self.tol < np.inf:
+            raise ValueError("tol must be nonnegative and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

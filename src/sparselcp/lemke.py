@@ -34,7 +34,8 @@ class Tableau:
 
     Column ids: 0..n-1 the slacks w_i, n..2n-1 the variables z_i, 2n the
     artificial variable; column 2n+1 is the constant column.  basis[i]
-    names the variable currently basic in row i.
+    names the variable currently basic in row i.  pivot() keeps no check;
+    solution() asserts once per run that the basis is complementary.
     """
 
     basis: list
@@ -62,24 +63,19 @@ class Tableau:
         body[row] = scaled
         leaving = self.basis[row]
         self.basis[row] = col
-        if __debug__:
-            self._check_complementary()
         return leaving
 
-    def _check_complementary(self):
-        n = self.n
-        present = set(self.basis)
-        for i in range(n):
-            assert not (i in present and i + n in present), \
-                "both members of a complementary pair are basic"
-
     def solution(self):
+        """x read off the basis, once no pair w_i, z_i is basic together."""
         n = self.n
+        basis = np.asarray(self.basis)
+        basic = np.zeros(2 * n + 1, dtype=bool)
+        basic[basis] = True
+        assert not np.any(basic[:n] & basic[n:2 * n]), \
+            "both members of a complementary pair are basic"
+        z = (basis >= n) & (basis < 2 * n)
         x = np.zeros(n)
-        rhs = self.body[:, -1]
-        for i, var in enumerate(self.basis):
-            if n <= var < 2 * n:
-                x[var - n] = rhs[i]
+        x[basis[z] - n] = self.body[z, -1]
         return x
 
 

@@ -43,8 +43,8 @@ _EPS = 1e-10
 
 @dataclass(frozen=True)
 class MeritModel:
-    """Selects a merit kernel; r is the exponent of phi_r and ignored
-    by the other kinds."""
+    """Selects a merit kernel; r is the exponent of phi_r, finite and at
+    least 2, and ignored by the other kinds."""
 
     kind: str
     r: float = 2.0
@@ -52,8 +52,8 @@ class MeritModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown merit kind {self.kind!r}")
-        if self.kind == "phi_r" and not self.r >= 2:
-            raise ValueError("r must be at least 2")
+        if self.kind == "phi_r" and not 2 <= self.r < np.inf:
+            raise ValueError("r must be finite and at least 2")
 
     @staticmethod
     def phi_r(r=2.0):
@@ -215,8 +215,8 @@ def merit_hessian(model, inst, x, rows, cols, y=None):
     MR = MC if np.array_equal(R, C) else M[:, R]
     H = MR.T @ (hbb[:, None] * MC)
     if len(R) and len(C):
-        H += hab[R][:, None] * M[np.ix_(R, C)]
-        H += M[np.ix_(C, R)].T * hab[C][None, :]
+        H += hab[R][:, None] * MC[R]
+        H += MR[C].T * hab[C][None, :]
         common, ri, ci = np.intersect1d(R, C, return_indices=True)
         H[ri, ci] += haa[common]
     return H

@@ -178,27 +178,13 @@ def line_search(state, direction, model, inst, config):
     return None
 
 
-def _initial_supports(x, s, n):
-    """Trim x to its s largest magnitudes if needed, and build a starting
-    working set of s sorted indices covering supp(x), completed with the
-    lowest free indices."""
-    supp = np.nonzero(x)[0]
-    if supp.size > s:
-        keep = top_s_by_magnitude(x, s)
-        trimmed = np.zeros_like(x)
-        trimmed[keep] = x[keep]
-        x, supp = trimmed, keep
-    if supp.size < s:
-        free = np.setdiff1d(np.arange(n), supp)[: s - supp.size]
-        supp = np.union1d(supp, free)
-    return x, supp
-
-
 def solve(inst, model, config, x0=None, callback=None):
     """Run the pursuit on an instance; returns a SolveReport.
 
-    x0 defaults to zero and must be finite; a start with more than s
-    nonzeros is trimmed to its s largest magnitudes.  callback(k, x, f),
+    x0 defaults to zero and must be finite.  The starting working set is
+    top_s_by_magnitude(x0, s) and x0 is zeroed off it: nonzeros rank ahead
+    of zeros and ties go to the lowest index, so a sparser start is padded
+    with the lowest free indices.  callback(k, x, f),
     when given, observes every iterate including the start; it must not
     mutate x.
 
@@ -206,7 +192,9 @@ def solve(inst, model, config, x0=None, callback=None):
     is halved and the iteration retried from the same point; a retry that
     reselects the same working set reuses its Newton solve and skips a
     direction already seen to fail (see the module docstring).  The solve
-    reports LineSearchFailed only once eta has hit its floor.
+    reports LineSearchFailed only once eta has hit its floor.  The one
+    selection and residual at the head of each iteration serve every
+    exit, tested as stall, then residual, then iteration cap.
     """
     n = inst.n
     s = config.s
@@ -220,7 +208,8 @@ def solve(inst, model, config, x0=None, callback=None):
         if x.shape != (n,):
             raise ValueError("x0 length must match the instance")
         _check_finite(x, "x0")
-    x, prev_T = _initial_supports(x, s, n)
+    prev_T = top_s_by_magnitude(x, s)
+    x[np.setdiff1d(np.arange(n), prev_T)] = 0.0
     t_start = time.perf_counter()
     eta_floor = eta * 2.0**-40
     y = inst.M @ x + inst.q
@@ -234,9 +223,13 @@ def solve(inst, model, config, x0=None, callback=None):
     backtracks = 0
     k = 0
     state = None
+    stalled = False
     while True:
         T = select_support(x, g, eta, s)
         res = residual(x, g, T, eta, s)
+        if stalled:
+            termination = Termination.OBJECTIVE_STALLED
+            break
         if res <= config.tol:
             termination = Termination.RESIDUAL_MET
             break
@@ -275,11 +268,6 @@ def solve(inst, model, config, x0=None, callback=None):
         g = mer.gradient_from_xy(model, inst.M, x, y)
         logger.debug("iter %d: f=%.9e res=%.3e alpha=%g newton=%s bt=%d",
                      k, f, res, alpha, used_newton, bt)
-        if stalled:
-            termination = Termination.OBJECTIVE_STALLED
-            T = select_support(x, g, eta, s)
-            res = residual(x, g, T, eta, s)
-            break
     wall = time.perf_counter() - t_start
     logger.info("solve end: %s iters=%d f=%.6e res=%.3e time=%.3fs",
                 termination.value, k, f, res, wall)

@@ -23,8 +23,8 @@ class TuningConfig:
     """Growth-schedule parameters.
 
     s0 : starting budget; None picks ceil(n / 5000), minimum 1
-    rho : growth factor > 1; None picks max(2, log10 n)
-    eps : accept a round once the merit value drops below this
+    rho : finite growth factor > 1; None picks max(2, log10 n)
+    eps : accept a round once the merit drops below this (finite, > 0)
     max_rounds : hard cap on solver invocations
     """
 
@@ -36,10 +36,10 @@ class TuningConfig:
     def __post_init__(self):
         if self.s0 is not None and self.s0 < 1:
             raise ValueError("s0 must be at least 1")
-        if self.rho is not None and not self.rho > 1:
-            raise ValueError("rho must exceed 1")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if self.rho is not None and not 1 < self.rho < math.inf:
+            raise ValueError("rho must be finite and exceed 1")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
 

@@ -26,8 +26,9 @@ def test_grid_point_validation():
         GridPoint(0)
     with pytest.raises(ValueError):
         GridPoint(10, r=1.5)
-    with pytest.raises(ValueError):
-        GridPoint(10, r=float("nan"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GridPoint(10, r=bad)
     # s_star and s must lie in [1, n] (the CLI cells "40:41", "40:2:2:0")
     for kw in ({"s_star": 41}, {"s_star": 0}, {"s_star": 2, "s": 0},
                {"s_star": 2, "s": 41}):
@@ -44,6 +45,10 @@ def test_experiment_spec_validation(tmp_path):
         ExperimentSpec("scaling", (), str(tmp_path / "x.csv"))
     with pytest.raises(ValueError):
         ExperimentSpec("scaling", grid, str(tmp_path / "x.csv"), trials=0)
+    # the spec is built before any trial runs, so a sweep is never lost
+    # at its final write
+    with pytest.raises(ValueError, match="does not exist"):
+        ExperimentSpec("scaling", grid, str(tmp_path / "missing" / "x.csv"))
     assert set(EXPERIMENTS) == {"success_vs_r", "success_vs_s", "scaling",
                                 "merit_comparison", "s_selection"}
     # success sweeps need a planted solution; other experiments take the

@@ -91,6 +91,18 @@ def test_non_finite_instance_is_an_input_error(tmp_path, capsys):
     assert "error:" in err and "finite" in err
 
 
+def test_non_finite_settings_are_input_errors(tmp_path, capsys):
+    path = gen_planted(tmp_path)
+    for cmd, flag, value in (("solve", "--eta", "inf"),
+                             ("solve", "--tol", "nan"),
+                             ("solve", "--r", "inf"),
+                             ("tune", "--rho", "inf"),
+                             ("tune", "--eps", "inf")):
+        budget = ["--s", "2"] if cmd == "solve" else []
+        assert main([cmd, "--instance", path, flag, value, *budget]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
 def test_lemke_subcommand_and_ray_exit(tmp_path, capsys):
     path = gen_planted(tmp_path)
     assert main(["lemke", "--instance", path]) == 0
@@ -159,7 +171,9 @@ def test_bench_grid_placeholders(tmp_path):
 def test_bench_rejects_bad_grid(tmp_path, capsys):
     out = tmp_path / "x.csv"
     # s_star or s outside [1, n] is rejected before any trial runs
-    for grid in ("oops", "20:-:0", "40:41", "40:2:2:0", "40:2;40:41"):
+    # so are an r that phi_r does not take and a fifth field
+    for grid in ("oops", "20:-:0", "40:41", "40:2:2:0", "40:2;40:41",
+                 "20:-:inf", "40:2:2:2:99"):
         assert main(["bench", "--experiment", "scaling", "--grid", grid,
                      "--trials", "1", "--out", str(out)]) == 1
         assert "bad --grid" in capsys.readouterr().err

@@ -124,7 +124,9 @@ def test_solver_config_validation():
     assert cfg.sigma == 1e-4 and cfg.beta == 0.5 and cfg.max_iter == 2000
     for bad in (dict(s=0), dict(s=1, eta=0.0), dict(s=1, sigma=0.5),
                 dict(s=1, sigma=0.0), dict(s=1, beta=1.0),
-                dict(s=1, tol=-1e-3), dict(s=1, max_iter=0)):
+                dict(s=1, tol=-1e-3), dict(s=1, max_iter=0),
+                dict(s=1, eta=np.inf), dict(s=1, tol=np.nan),
+                dict(s=1, tol=np.inf)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 

@@ -136,6 +136,13 @@ def test_tableau_layout():
     assert np.array_equal(tab.body[:, 5], q)
 
 
+def test_solution_rejects_a_non_complementary_basis():
+    # w_1 and z_1 basic together: no Lemke path reaches this basis
+    tab = Tableau(basis=[0, 2], body=np.zeros((2, 6)))
+    with pytest.raises(AssertionError, match="complementary pair"):
+        tab.solution()
+
+
 def test_returns_solution_and_pivot_count():
     inst = LcpInstance(np.eye(1), np.array([-2.0]))
     out = lemke_solve(inst)

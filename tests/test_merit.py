@@ -21,8 +21,9 @@ def pair_value(model, a, b):
 def test_model_validation():
     with pytest.raises(ValueError):
         MeritModel("nope")
-    with pytest.raises(ValueError):
-        MeritModel.phi_r(1.5)
+    for bad in (1.5, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            MeritModel.phi_r(bad)
     assert MeritModel.psi2().kind == "psi2"
     assert MeritModel.natural_min().kind == "min"
     assert set(KINDS) == {"phi_r", "fb", "min", "psi2"}

@@ -202,6 +202,11 @@ def test_working_sets_are_sorted_index_arrays_of_size_s():
                 x0=np.array([1.0, 1.0, 1.0, 0.1, 0.2]))
     assert rep.iterations == 0 and rep.support.tolist() == [0, 1, 2]
     check(rep.support, 3, rep.x)
+    # one nonzero under budget 3 is padded with the lowest free indices
+    pad = LcpInstance(np.eye(5), np.array([1.0, 1.0, 1.0, 1.0, -1.0]))
+    rep = solve(pad, PHI2, SolverConfig(s=3), x0=np.eye(5)[4])
+    assert rep.iterations == 0 and rep.support.tolist() == [0, 1, 4]
+    check(rep.support, 3, rep.x)
     rep, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1),
                               TuningConfig(s0=2, max_rounds=1))
     assert rounds == 1

@@ -18,10 +18,10 @@ PHI2 = MeritModel.phi_r(2)
 def test_config_validation():
     with pytest.raises(ValueError):
         TuningConfig(s0=0)
-    with pytest.raises(ValueError):
-        TuningConfig(rho=1.0)
-    with pytest.raises(ValueError):
-        TuningConfig(eps=0.0)
+    for bad in (dict(rho=1.0), dict(rho=np.inf), dict(eps=0.0),
+                dict(eps=np.inf)):
+        with pytest.raises(ValueError):
+            TuningConfig(**bad)
     with pytest.raises(ValueError):
         TuningConfig(max_rounds=0)
 
