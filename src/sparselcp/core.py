@@ -17,10 +17,14 @@ class SingularError(Exception):
     """A pivot fell below the singularity threshold during factorization."""
 
 
-def _frozen_array(a, dtype=np.float64):
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _frozen_array(a):
+    """a itself when it is a float64 ndarray that owns its data, else a
+    float64 copy; read-only either way."""
+    if not (type(a) is np.ndarray and a.dtype == np.float64
+            and a.base is None):
+        a = np.array(a, dtype=np.float64)
+    a.setflags(write=False)
+    return a
 
 
 def _check_finite(a, name):
@@ -42,7 +46,10 @@ class LcpInstance:
 
     ground_truth : optional planted solution used for error reporting
 
-    M, q and ground_truth must be finite; ValueError otherwise.
+    M, q and ground_truth must be finite; ValueError otherwise.  The
+    instance takes ownership of a float64 array that owns its data: it
+    keeps that array without a copy and makes it read-only.  Anything
+    else (a list, another dtype, a view) is copied.
     """
 
     M: np.ndarray

@@ -18,7 +18,7 @@ assembled in O(n |R| |C|) without ever forming the full n-by-n matrix.
 Kernels:
   phi_r  : psi(a,b) = (1/r)[a_+^r b_+^r + |a_-|^r + |b_-|^r], r >= 2.
            Smooth for r > 2; for r = 2 the Hessian is a selected element
-           of the generalized Hessian (see _XI note below).
+           of the generalized Hessian (see the _xi note below).
   fb     : psi = 0.5 phi^2 with phi = sqrt(a^2 + b^2 + eps) - a - b,
            the eps-smoothed Fischer-Burmeister residual.
   min    : psi = 0.5 phi^2 with phi = a + b - sqrt((a-b)^2 + eps),
@@ -26,6 +26,14 @@ Kernels:
            for both smoothed kernels.
   psi2   : psi = 0.5[(ab)_+^2 + min(a,0)^2 + min(b,0)^2], a squared
            penalty on positive products and negative parts.
+
+Each kernel is one function of (a, b, r, order) that returns psi, its
+partials (psi_a, psi_b) or its second partials (psi_aa, psi_ab, psi_bb);
+_KERNELS picks it by kind.  phi_r's value and partials are one formula
+for every r, and at r = 2 they give the quadratic closed forms bit for
+bit, since numpy evaluates x**2.0 as x*x and x**1.0 as x.  Only its
+Hessian keeps an r = 2 branch (_xi below): the general second partials
+carry a_+^0 and a_-^0, which read 0^0 = 1 at every point.
 
 Powers with fractional exponents only ever see nonnegative bases (the
 positive/negative parts), so no domain errors arise; 0^p = 0 for p > 0.
@@ -78,56 +86,6 @@ def _parts(a):
     return ap, am
 
 
-def _value_terms(model, a, b):
-    if model.kind == "phi_r":
-        r = model.r
-        ap, am = _parts(a)
-        bp, bm = _parts(b)
-        if r == 2.0:
-            return 0.5 * ((ap * bp) ** 2 + am * am + bm * bm)
-        return (ap**r * bp**r + am**r + bm**r) / r
-    if model.kind == "fb":
-        w = np.sqrt(a * a + b * b + _EPS)
-        phi = w - a - b
-        return 0.5 * phi * phi
-    if model.kind == "min":
-        u = a - b
-        w = np.sqrt(u * u + _EPS)
-        phi = a + b - w
-        return 0.5 * phi * phi
-    # psi2
-    ab = np.maximum(a * b, 0.0)
-    am = np.minimum(a, 0.0)
-    bm = np.minimum(b, 0.0)
-    return 0.5 * (ab * ab + am * am + bm * bm)
-
-
-def _grad_terms(model, a, b):
-    if model.kind == "phi_r":
-        r = model.r
-        ap, am = _parts(a)
-        bp, bm = _parts(b)
-        if r == 2.0:
-            da = ap * bp * bp - am
-            db = ap * ap * bp - bm
-        else:
-            da = ap ** (r - 1) * bp**r - am ** (r - 1)
-            db = ap**r * bp ** (r - 1) - bm ** (r - 1)
-        return da, db
-    if model.kind == "fb":
-        w = np.sqrt(a * a + b * b + _EPS)
-        phi = w - a - b
-        return phi * (a / w - 1.0), phi * (b / w - 1.0)
-    if model.kind == "min":
-        u = a - b
-        w = np.sqrt(u * u + _EPS)
-        phi = a + b - w
-        return phi * (1.0 - u / w), phi * (1.0 + u / w)
-    # psi2
-    ab = np.maximum(a * b, 0.0)
-    return ab * b + np.minimum(a, 0.0), ab * a + np.minimum(b, 0.0)
-
-
 # For r = 2 the diagonal curvature terms are set-valued at the kinks
 # a = 0 (resp. b = 0); the selection used everywhere takes the constant
 # endpoint 1 there, which keeps the diagonal bounded away from zero:
@@ -137,51 +95,75 @@ def _xi(a, b):
     return np.where(a > 0.0, bp * bp, 1.0)
 
 
-def _hess_terms(model, a, b):
-    if model.kind == "phi_r":
-        r = model.r
-        ap, am = _parts(a)
-        bp, bm = _parts(b)
-        if r == 2.0:
-            return _xi(a, b), 2.0 * ap * bp, _xi(b, a)
-        haa = (r - 1) * (ap ** (r - 2) * bp**r + am ** (r - 2))
-        hab = r * ap ** (r - 1) * bp ** (r - 1)
-        hbb = (r - 1) * (ap**r * bp ** (r - 2) + bm ** (r - 2))
-        return haa, hab, hbb
-    if model.kind == "fb":
-        w = np.sqrt(a * a + b * b + _EPS)
-        phi = w - a - b
-        pa = a / w - 1.0
-        pb = b / w - 1.0
-        w3 = w * w * w
-        haa = pa * pa + phi * (b * b + _EPS) / w3
-        hab = pa * pb - phi * a * b / w3
-        hbb = pb * pb + phi * (a * a + _EPS) / w3
-        return haa, hab, hbb
-    if model.kind == "min":
-        u = a - b
-        w = np.sqrt(u * u + _EPS)
-        phi = a + b - w
-        pa = 1.0 - u / w
-        pb = 1.0 + u / w
-        curv = _EPS / (w * w * w)
-        return pa * pa - phi * curv, pa * pb + phi * curv, pb * pb - phi * curv
-    # psi2; the kinks ab = 0, a = 0, b = 0 take the flat-branch value 0
-    pos = a * b > 0.0
-    haa = np.where(pos, b * b, 0.0) + (a < 0.0)
-    hab = 2.0 * np.maximum(a * b, 0.0)
-    hbb = np.where(pos, a * a, 0.0) + (b < 0.0)
-    return haa, hab, hbb
+def _phi_r(a, b, r, order):
+    ap, am = _parts(a)
+    bp, bm = _parts(b)
+    if order == 0:
+        return ((ap * bp) ** r + am**r + bm**r) / r
+    if order == 1:
+        return ((ap * bp) ** (r - 1) * bp - am ** (r - 1),
+                ap**r * bp ** (r - 1) - bm ** (r - 1))
+    if r == 2.0:
+        return _xi(a, b), 2.0 * ap * bp, _xi(b, a)
+    return ((r - 1) * (ap ** (r - 2) * bp**r + am ** (r - 2)),
+            r * ap ** (r - 1) * bp ** (r - 1),
+            (r - 1) * (ap**r * bp ** (r - 2) + bm ** (r - 2)))
+
+
+def _fb(a, b, r, order):
+    w = np.sqrt(a * a + b * b + _EPS)
+    phi = w - a - b
+    if order == 0:
+        return 0.5 * phi * phi
+    pa = a / w - 1.0
+    pb = b / w - 1.0
+    if order == 1:
+        return phi * pa, phi * pb
+    w3 = w * w * w
+    return (pa * pa + phi * (b * b + _EPS) / w3,
+            pa * pb - phi * a * b / w3,
+            pb * pb + phi * (a * a + _EPS) / w3)
+
+
+def _min(a, b, r, order):
+    u = a - b
+    w = np.sqrt(u * u + _EPS)
+    phi = a + b - w
+    if order == 0:
+        return 0.5 * phi * phi
+    pa = 1.0 - u / w
+    pb = 1.0 + u / w
+    if order == 1:
+        return phi * pa, phi * pb
+    curv = _EPS / (w * w * w)
+    return pa * pa - phi * curv, pa * pb + phi * curv, pb * pb - phi * curv
+
+
+def _psi2(a, b, r, order):
+    ab = np.maximum(a * b, 0.0)
+    am = np.minimum(a, 0.0)
+    bm = np.minimum(b, 0.0)
+    if order == 0:
+        return 0.5 * (ab * ab + am * am + bm * bm)
+    if order == 1:
+        return ab * b + am, ab * a + bm
+    # the kinks ab = 0, a = 0, b = 0 take the flat-branch value 0
+    pos = ab > 0.0
+    return (np.where(pos, b * b, 0.0) + (a < 0.0), 2.0 * ab,
+            np.where(pos, a * a, 0.0) + (b < 0.0))
+
+
+_KERNELS = {"phi_r": _phi_r, "fb": _fb, "min": _min, "psi2": _psi2}
 
 
 def value_from_xy(model, x, y):
     """Merit value from precomputed x and y = M x + q."""
-    return float(_value_terms(model, x, y).sum())
+    return float(_KERNELS[model.kind](x, y, model.r, 0).sum())
 
 
 def gradient_from_xy(model, M, x, y):
     """Merit gradient from precomputed y; one M^T matvec."""
-    da, db = _grad_terms(model, x, y)
+    da, db = _KERNELS[model.kind](x, y, model.r, 1)
     return da + M.T @ db
 
 
@@ -198,7 +180,8 @@ def merit_gradient(model, inst, x):
 
 
 def merit_hessian(model, inst, x, rows, cols, y=None):
-    """The |rows| x |cols| block of the merit Hessian at x.
+    """The |rows| x |cols| block of the merit Hessian at x: entry (i, j)
+    is H[rows[i], cols[j]], so indices may come in any order and repeat.
 
     For r = 2 and psi2 the returned matrix is the selected element of the
     generalized Hessian described in the module docstring.  Cost is
@@ -210,13 +193,12 @@ def merit_hessian(model, inst, x, rows, cols, y=None):
         y = M @ x + inst.q
     R = np.asarray(rows, dtype=np.intp)
     C = np.asarray(cols, dtype=np.intp)
-    haa, hab, hbb = _hess_terms(model, x, y)
+    haa, hab, hbb = _KERNELS[model.kind](x, y, model.r, 2)
     MC = M[:, C]
     MR = MC if np.array_equal(R, C) else M[:, R]
     H = MR.T @ (hbb[:, None] * MC)
-    if len(R) and len(C):
-        H += hab[R][:, None] * MC[R]
-        H += MR[C].T * hab[C][None, :]
-        common, ri, ci = np.intersect1d(R, C, return_indices=True)
-        H[ri, ci] += haa[common]
+    H += hab[R][:, None] * MC[R]
+    H += MR[C].T * hab[C][None, :]
+    ri, ci = np.nonzero(R[:, None] == C)
+    H[ri, ci] += haa[R[ri]]
     return H

@@ -130,15 +130,14 @@ def _newton_solve(state, model, inst):
     x, y, g, t = state.x, state.y, state.grad, state.support
     rhs = -g[t]
     j = np.setdiff1d(state.prev_support, t)
-    if j.size:
-        xj = x[j]
-        if np.any(xj != 0.0):
-            rhs = rhs + mer.merit_hessian(model, inst, x, t, j, y=y) @ xj
+    xj = x[j]
+    if np.any(xj != 0.0):
+        rhs = rhs + mer.merit_hessian(model, inst, x, t, j, y=y) @ xj
     try:
         dt = dense_solve(mer.merit_hessian(model, inst, x, t, t, y=y), rhs)
     except SingularError:
         return None, None, None, None
-    d = -x.copy()
+    d = -x
     d[t] = dt
     off = np.ones(x.shape[0], dtype=bool)
     off[t] = False
@@ -147,7 +146,7 @@ def _newton_solve(state, model, inst):
 
 def fallback_direction(state):
     """Restricted steepest descent: -grad on T, -x off T."""
-    d = -state.x.copy()
+    d = -state.x
     d[state.support] = -state.grad[state.support]
     return d
 

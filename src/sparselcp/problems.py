@@ -152,7 +152,8 @@ def _zmatrix(n):
     M is a positive semidefinite Z-matrix and x* = e_1 solves the problem
     exactly (M x* + q = 0).  No randomness: s_star, m and seed are unused.
     """
-    M = np.eye(n) - np.full((n, n), 1.0 / n)
+    M = np.full((n, n), -(1.0 / n))
+    M[np.diag_indices(n)] += 1.0
     q = np.full(n, 1.0 / n)
     q[0] -= 1.0
     gt = np.zeros(n)
@@ -183,7 +184,7 @@ def _psd(spec):
     else:
         Z = rng.uniforms_open(n * m).reshape(n, m)
     M = Z @ Z.T
-    del Z  # free the factor before LcpInstance copies M
+    del Z  # free the factor before LcpInstance freezes M
     supp = rng.permutation(n)[:s_star]
     if spec.example not in PLANTED:
         q = rng.uniforms_open(n)

@@ -102,6 +102,16 @@ def test_instance_validation_and_freezing():
     assert not inst.M.flags.writeable
     with pytest.raises(ValueError):
         inst.M[0, 0] = 9.0
+    # an owned float64 array is kept and frozen; a view is copied and
+    # leaves its base writable; a list is converted
+    M = np.eye(2)
+    base = np.array([1.0, -1.0, 0.0])
+    inst = LcpInstance(M, base[:2], ground_truth=[0.0, 1.0])
+    assert np.shares_memory(inst.M, M) and not M.flags.writeable
+    assert not np.shares_memory(inst.q, base) and base.flags.writeable
+    assert not inst.q.flags.writeable
+    assert inst.ground_truth.dtype == np.float64
+    assert np.array_equal(inst.ground_truth, [0.0, 1.0])
     with pytest.raises(ValueError):
         LcpInstance(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):

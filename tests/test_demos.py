@@ -1,6 +1,8 @@
-"""Every script in demos/ runs to completion against the current API."""
+"""Every script in demos/ and every Python example in the README runs to
+completion against the current API."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +27,15 @@ def test_demo_exits_cleanly(demo):
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    # the README's examples run in order in one namespace, as a reader
+    # following them would
+    readme = ROOT / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(),
+                        re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

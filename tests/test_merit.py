@@ -195,6 +195,58 @@ def test_restricted_block_agrees_with_full_hessian():
         C = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         block = merit_hessian(model, inst, x, R, C)
         assert np.allclose(block, full[np.ix_(R, C)], atol=1e-12)
+    # unsorted and repeated index lists address the same entries
+    for R, C in (([4, 0, 7], [7, 2, 0, 4]), ([1, 1], [1]),
+                 ([3, 5, 3], [5, 3, 3, 8])):
+        block = merit_hessian(model, inst, x, R, C)
+        assert np.allclose(block, full[np.ix_(R, C)], atol=1e-12), (R, C)
+
+
+def test_quadratic_kernel_matches_closed_forms_bit_for_bit():
+    # phi_2 equals its quadratic closed forms exactly, term by term, on a
+    # grid with signed zeros, both kinks and subnormals.  The pairs
+    # (a_i, b_i) are read through the vector interface with M chosen so
+    # that each term lands alone: M = 0 leaves psi_a and psi_aa; with the
+    # pairs in the second half of a 2N-vector, M = [[0, 0], [I, 0]] puts
+    # psi_b in grad_i and psi_bb in H_ii; with them in the first half,
+    # M = [[0, I], [0, 0]] puts psi_ab in H[i, N + i].  The padding pairs
+    # (0, 0) and (1, 0) zero every term that could add to those entries.
+    tiny = np.finfo(np.float64).smallest_subnormal
+    vals = np.array([0.0, -0.0, tiny, -tiny, 3e-310, -3e-310, 1e-160,
+                     -1e-160, 0.5, -0.75, 1.0, -1.0, 3.0, -2.5, 1e75])
+    a, b = (g.ravel() for g in np.meshgrid(vals, vals))
+    ap, am = np.maximum(a, 0.0), np.maximum(-a, 0.0)
+    bp, bm = np.maximum(b, 0.0), np.maximum(-b, 0.0)
+
+    def xi(u, v):
+        vp = np.maximum(v, 0.0)
+        return np.where(u > 0.0, vp * vp, 1.0)
+
+    model = MeritModel.phi_r(2)
+    value = [pair_value(model, s, t) for s, t in zip(a, b)]
+    assert np.array_equal(value, 0.5 * ((ap * bp) ** 2 + am * am + bm * bm))
+
+    N = a.size
+    idx = np.arange(N)
+    Z, I, zeros, ones = np.zeros((N, N)), np.eye(N), np.zeros(N), np.ones(N)
+    lower = np.block([[Z, Z], [I, Z]])
+    upper = lower.T.copy()
+    assert np.array_equal(gradient_from_xy(model, Z, a, b),
+                          ap * bp * bp - am)
+    grad = gradient_from_xy(model, lower, np.concatenate([zeros, a]),
+                            np.concatenate([zeros, b]))
+    assert np.array_equal(grad[:N], ap * ap * bp - bm)
+
+    haa = merit_hessian(model, LcpInstance(Z, zeros), a, idx, idx, y=b)
+    assert np.array_equal(np.diag(haa), xi(a, b))
+    hab = merit_hessian(model, LcpInstance(upper, np.zeros(2 * N)),
+                        np.concatenate([a, zeros]), idx, N + idx,
+                        y=np.concatenate([b, zeros]))
+    assert np.array_equal(np.diag(hab), 2.0 * ap * bp)
+    hbb = merit_hessian(model, LcpInstance(lower, np.zeros(2 * N)),
+                        np.concatenate([ones, a]), idx, idx,
+                        y=np.concatenate([zeros, b]))
+    assert np.array_equal(np.diag(hbb), xi(b, a))
 
 
 def test_quadratic_kernel_kink_curvature_selection():
