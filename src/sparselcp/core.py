@@ -187,6 +187,13 @@ def top_s_by_magnitude(z, s):
     return np.sort(order)
 
 
+def support_mask(x):
+    """True where |x_i| exceeds 1e-9 * max(1, ||x||_inf); an entry at or
+    below that is round-off and reads as zero."""
+    thresh = 1e-9 * max(1.0, float(np.abs(x).max(initial=0.0)))
+    return np.abs(x) > thresh
+
+
 def _fmt(v):
     return format(float(v), ".17g")
 

@@ -7,15 +7,23 @@ pivoting alternates until the artificial variable leaves (solution found)
 or no blocking variable exists (ray termination, no solution along the
 path).
 
-Minimum-ratio ties are broken by the lowest row index; there is no
-lexicographic anti-cycling, so degenerate cycling on adversarial inputs
-surfaces as PivotLimit.  Adequate for randomly generated instances.
+The leaving row follows the lexicographic minimum-ratio rule (Cottle,
+Pang & Stone, The Linear Complementarity Problem, 1992): rows whose ratio
+lies within a tolerance of the minimum are tied, and the tie goes to the
+lexicographically smallest row of B^-1 (the slack block of the tableau)
+divided by the driving column.  Round-off in the update therefore cannot
+pick the path through a degenerate basis, and in exact arithmetic the
+rule cannot cycle.  The tableau is stored in Fortran order so that each
+pivot is one in-place BLAS rank-1 update.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
+
+from .core import support_mask
 
 logger = logging.getLogger("sparselcp.lemke")
 
@@ -34,17 +42,23 @@ class Tableau:
 
     Column ids: 0..n-1 the slacks w_i, n..2n-1 the variables z_i, 2n the
     artificial variable; column 2n+1 is the constant column.  basis[i]
-    names the variable currently basic in row i.  pivot() keeps no check;
-    solution() asserts once per run that the basis is complementary.
+    names the variable currently basic in row i.  The body is held in
+    Fortran order, where pivot() updates it in place.  pivot() keeps no
+    check; solution() asserts once per run that the basis is
+    complementary.
     """
 
     basis: list
     body: np.ndarray
 
+    def __post_init__(self):
+        # dger updates a C-ordered array on a copy, which pivot() drops
+        self.body = np.asfortranarray(self.body)
+
     @staticmethod
     def initial(M, q):
         n = q.shape[0]
-        body = np.empty((n, 2 * n + 2))
+        body = np.empty((n, 2 * n + 2), order="F")
         body[:, :n] = np.eye(n)
         body[:, n:2 * n] = -M
         body[:, 2 * n] = -1.0
@@ -59,14 +73,15 @@ class Tableau:
         """Make column col basic in row, returning the leaving variable."""
         body = self.body
         scaled = body[row] / body[row, col]
-        body -= np.outer(body[:, col], scaled)
+        dger(-1.0, body[:, col].copy(), scaled, a=body, overwrite_a=1)
         body[row] = scaled
         leaving = self.basis[row]
         self.basis[row] = col
         return leaving
 
     def solution(self):
-        """x read off the basis, once no pair w_i, z_i is basic together."""
+        """x read off the basis, once no pair w_i, z_i is basic together;
+        values that support_mask reads as round-off come out exactly 0."""
         n = self.n
         basis = np.asarray(self.basis)
         basic = np.zeros(2 * n + 1, dtype=bool)
@@ -76,6 +91,7 @@ class Tableau:
         z = (basis >= n) & (basis < 2 * n)
         x = np.zeros(n)
         x[basis[z] - n] = self.body[z, -1]
+        x[~support_mask(x)] = 0.0
         return x
 
 
@@ -83,10 +99,42 @@ def _complement(var, n):
     return var + n if var < n else var - n
 
 
+def _lexmin_row(body, basis, d, tied):
+    """The tied row whose row of B^-1 (the slack block body[:, :n]),
+    divided by the driving column d, is lexicographically smallest.
+
+    Slack columns are scanned in index order.  A basic slack column is
+    the unit vector of its row, so its quotient is 1/d > 0 in that row
+    and exactly 0 in every other: it only drops its own row from the tie
+    and needs no division.  Only the nonbasic slack columns are divided.
+    """
+    n = body.shape[0]
+    basis = np.asarray(basis)
+    # the slack basic in each tied row; n for a row holding z or the
+    # artificial, which no basic slack column drops
+    key = np.minimum(basis[tied], n)
+    free = np.ones(n + 1, dtype=bool)  # free[n]: end of the slack block
+    free[basis[basis < n]] = False
+    for j in np.flatnonzero(free):
+        early = key < j  # dropped, in slack order, by columns before j
+        if early.all():
+            return tied[np.argmax(key)]  # the last one is kept
+        tied, key = tied[~early], key[~early]
+        if tied.size == 1 or j == n:
+            break
+        v = body[tied, j] / d[tied]
+        keep = v == v.min()
+        tied, key = tied[keep], key[keep]
+    return tied[0]
+
+
 def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None):
     """Solve the LCP (M, q); returns (x, pivots).
 
-    pivot_tol guards ratio-test denominators; max_pivots defaults to 10n.
+    pivot_tol guards ratio-test denominators and sets the width of a
+    ratio tie: rows whose ratio is within pivot_tol * max(1, |r_min|) of
+    the minimum ratio r_min are tied and go to the lexicographic rule, so
+    pivot_tol=0 means exact ties only.  max_pivots defaults to 10n.
     Raises ValueError for a negative or non-finite pivot_tol or for
     max_pivots < 1, RayTermination when the path escapes to infinity and
     PivotLimit when the pivot budget runs out.
@@ -103,8 +151,9 @@ def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None):
         return np.zeros(n), 0
     tab = Tableau.initial(inst.M, q)
     aux = 2 * n
-    # drive the artificial variable in against the worst violation
-    row = int(np.argmin(q))
+    # drive the artificial variable in against the worst violation; of
+    # equal violations the last keeps every row lexicographically positive
+    row = int(np.flatnonzero(q == q.min())[-1])
     leaving = tab.pivot(row, aux)
     pivots = 1
     driving = _complement(leaving, n)
@@ -113,13 +162,15 @@ def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None):
         if pivots >= max_pivots:
             raise PivotLimit(f"no termination within {max_pivots} pivots")
         col = tab.body[:, driving]
-        rhs = tab.body[:, -1]
         elig = col > pivot_tol
         if not np.any(elig):
             raise RayTermination("driving column has no blocking variable")
         ratios = np.full(n, np.inf)
-        np.divide(rhs, col, out=ratios, where=elig)
-        row = int(np.argmin(ratios))  # first minimum = lowest row index
+        np.divide(tab.body[:, -1], col, out=ratios, where=elig)
+        rmin = ratios.min()
+        tied = np.flatnonzero(ratios <= rmin + pivot_tol * max(1.0, abs(rmin)))
+        row = int(tied[0] if tied.size == 1
+                  else _lexmin_row(tab.body, tab.basis, col, tied))
         leaving = tab.pivot(row, driving)
         pivots += 1
         logger.debug("pivot %d: in=%d out=%d row=%d", pivots, driving,

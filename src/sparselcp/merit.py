@@ -29,11 +29,13 @@ Kernels:
 
 Each kernel is one function of (a, b, r, order) that returns psi, its
 partials (psi_a, psi_b) or its second partials (psi_aa, psi_ab, psi_bb);
-_KERNELS picks it by kind.  phi_r's value and partials are one formula
-for every r, and at r = 2 they give the quadratic closed forms bit for
-bit, since numpy evaluates x**2.0 as x*x and x**1.0 as x.  Only its
-Hessian keeps an r = 2 branch (_xi below): the general second partials
-carry a_+^0 and a_-^0, which read 0^0 = 1 at every point.
+_KERNELS picks it by kind.  phi_r's value is one formula for every r.
+Its derivatives for r > 2 raise the product a_+ b_+ to a power before
+multiplying by a_+ or b_+, so a finite partial stays finite where a_+
+overflows and b_+ underflows (or the reverse).  For r = 2 they are the
+quadratic closed forms, with the Hessian's kink selection _xi below: the
+general second partials carry a_+^0 and a_-^0, which read 0^0 = 1 at
+every point.
 
 Powers with fractional exponents only ever see nonnegative bases (the
 positive/negative parts), so no domain errors arise; 0^p = 0 for p > 0.
@@ -100,14 +102,17 @@ def _phi_r(a, b, r, order):
     bp, bm = _parts(b)
     if order == 0:
         return ((ap * bp) ** r + am**r + bm**r) / r
-    if order == 1:
-        return ((ap * bp) ** (r - 1) * bp - am ** (r - 1),
-                ap**r * bp ** (r - 1) - bm ** (r - 1))
     if r == 2.0:
+        if order == 1:
+            return ap * bp * bp - am, ap * ap * bp - bm
         return _xi(a, b), 2.0 * ap * bp, _xi(b, a)
-    return ((r - 1) * (ap ** (r - 2) * bp**r + am ** (r - 2)),
-            r * ap ** (r - 1) * bp ** (r - 1),
-            (r - 1) * (ap**r * bp ** (r - 2) + bm ** (r - 2)))
+    if order == 1:
+        prod = (ap * bp) ** (r - 1)
+        return prod * bp - am ** (r - 1), prod * ap - bm ** (r - 1)
+    prod = (ap * bp) ** (r - 2)
+    return ((r - 1) * (prod * bp * bp + am ** (r - 2)),
+            r * (ap * bp) ** (r - 1),
+            (r - 1) * (prod * ap * ap + bm ** (r - 2)))
 
 
 def _fb(a, b, r, order):

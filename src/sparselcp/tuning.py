@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import nhtp
-from .core import Termination
+from .core import Termination, support_mask
 from .lemke import lemke_solve
 
 logger = logging.getLogger("sparselcp.tuning")
@@ -88,8 +88,7 @@ def nhtpt_solve(inst, model, config, tuning=None):
 
 def support_count(x):
     """Nonzeros of x above the threshold 1e-9 * max(1, ||x||_inf)."""
-    thresh = 1e-9 * max(1.0, float(np.abs(x).max(initial=0.0)))
-    return int(np.count_nonzero(np.abs(x) > thresh))
+    return int(np.count_nonzero(support_mask(x)))
 
 
 def lemke_seeded_s(inst):

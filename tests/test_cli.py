@@ -113,6 +113,23 @@ def test_lemke_subcommand_and_ray_exit(tmp_path, capsys):
     assert "ray termination" in capsys.readouterr().err
 
 
+def test_lemke_reports_only_the_true_support(tmp_path, capsys):
+    # the pivoting path crosses degenerate bases; their round-off is not
+    # printed as nonzeros, only the two planted entries are
+    path = str(tmp_path / "planted.txt")
+    assert main(["gen", "--example", "sdp_gaussian", "--n", "200",
+                 "--seed", "4", "--out", path]) == 0
+    planted = np.flatnonzero(load_instance(path).ground_truth)
+    assert planted.size == 2
+    capsys.readouterr()
+    assert main(["lemke", "--instance", path]) == 0
+    out = capsys.readouterr().out
+    assert "nonzeros:    2\n" in out
+    printed = [int(line[2:line.index("]")]) - 1
+               for line in out.splitlines() if line.startswith("x[")]
+    assert printed == planted.tolist()
+
+
 def test_lemke_pivot_limit_exit(tmp_path, capsys):
     path = write_instance(tmp_path, np.eye(2), [-1.0, -2.0])
     assert main(["lemke", "--instance", path, "--max-pivots", "1"]) == 2

@@ -5,11 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from sparselcp import lemke
 from sparselcp.core import LcpInstance, SolverConfig
 from sparselcp.lemke import (PivotLimit, RayTermination, Tableau, lemke_solve)
 from sparselcp.merit import MeritModel, merit_value
 from sparselcp.nhtp import solve as nhtp_solve
 from sparselcp.problems import GeneratorSpec, generate
+from sparselcp.tuning import support_count
 
 PHI2 = MeritModel.phi_r(2)
 
@@ -104,6 +106,8 @@ def test_solves_random_planted_families():
         worst = max(worst, f2)
         assert x.min() >= -1e-10
         assert (inst.M @ x + inst.q).min() >= -1e-8
+        # round-off in the basic values is snapped to exactly 0
+        assert np.count_nonzero(x) == support_count(x)
     assert worst <= 1e-12
 
 
@@ -136,6 +140,18 @@ def test_tableau_layout():
     assert np.array_equal(tab.body[:, 5], q)
 
 
+def test_pivot_updates_a_tableau_built_from_a_c_ordered_body():
+    # the in-place update needs Fortran order; Tableau converts any body
+    M = np.array([[2.0, 1.0], [0.0, 3.0]])
+    q = np.array([-1.0, 4.0])
+    ref = Tableau.initial(M, q)
+    tab = Tableau(basis=[0, 1], body=np.ascontiguousarray(ref.body))
+    assert ref.pivot(0, 4) == tab.pivot(0, 4) == 0
+    assert np.array_equal(tab.body, ref.body)
+    # the right-hand side is now -q_0, q_1 - q_0
+    assert tab.body[0, 5] == 1.0 and tab.body[1, 5] == 5.0
+
+
 def test_solution_rejects_a_non_complementary_basis():
     # w_1 and z_1 basic together: no Lemke path reaches this basis
     tab = Tableau(basis=[0, 2], body=np.zeros((2, 6)))
@@ -151,3 +167,77 @@ def test_returns_solution_and_pivot_count():
     assert isinstance(x, np.ndarray)
     assert x[0] == pytest.approx(2.0, abs=1e-12)
     assert pivots >= 1
+
+
+def _textbook_pivot(self, row, col):
+    """Tableau.pivot by np.outer with the driving column scaled instead
+    of the pivot row: the same update with different rounding."""
+    body = self.body
+    prow = body[row].copy()
+    body -= np.outer(body[:, col] / prow[col], prow)
+    body[:, col] = 0.0
+    body[row] = prow / prow[col]
+    leaving = self.basis[row]
+    self.basis[row] = col
+    return leaving
+
+
+def test_path_does_not_depend_on_update_rounding(monkeypatch):
+    # rank-deficient M (m < n): the path crosses degenerate bases, where
+    # a lowest-index tie-break lets the last bits choose the pivot row
+    insts = [generate(GeneratorSpec("sdp_gaussian", 300, m=150, seed=seed))
+             for seed in range(4)]
+    paths = [lemke_solve(inst) for inst in insts]
+    monkeypatch.setattr(Tableau, "pivot", _textbook_pivot)
+    for inst, (x, pivots) in zip(insts, paths):
+        x_ref, pivots_ref = lemke_solve(inst)
+        assert pivots == pivots_ref
+        assert np.array_equal(np.flatnonzero(x), np.flatnonzero(x_ref))
+        assert np.count_nonzero(x) == support_count(x)
+
+
+def _lexmin_by_division(body, d, tied):
+    """The tied row with the lexicographically smallest row of
+    body[:, :n] / d, every slack column divided out."""
+    n = body.shape[0]
+    quotients = body[tied, :n] / d[tied][:, None]
+    # lexsort's last key is its primary one; full ties keep row order
+    return tied[np.lexsort(quotients.T[::-1])[0]]
+
+
+def test_tie_break_on_basic_slack_columns():
+    # n = 3; slacks 0 and 1 basic in rows 0 and 1, z_2 (id 5) in row 2;
+    # slack column 2 is nonbasic
+    body = np.zeros((3, 8))
+    body[:, :2] = np.eye(3)[:, :2]
+    body[:, 2] = [0.5, 0.2, 0.7]
+    d = np.array([2.0, 1.0, 4.0])
+    for tied, row in (([0, 1], 1), ([0, 2], 2), ([1, 2], 2),
+                      ([0, 1, 2], 2)):
+        tied = np.array(tied)
+        assert lemke._lexmin_row(body, [0, 1, 5], d, tied) == row
+        assert _lexmin_by_division(body, d, tied) == row
+    # z_1 (id 4) basic in row 1 instead: slack column 1 is nonbasic, its
+    # quotients 0.7 / 4 < 0.2 / 1 give row 2
+    body[:, 1] = [0.3, 0.2, 0.7]
+    tied = np.array([1, 2])
+    assert lemke._lexmin_row(body, [0, 4, 5], d, tied) == 2
+    assert _lexmin_by_division(body, d, tied) == 2
+
+
+def test_tie_break_is_the_lexicographic_minimum(monkeypatch):
+    # on every tie of a degenerate path, the shortcut for basic slack
+    # columns picks the row a full division of B^-1 by d would pick
+    ties = []
+    fast = lemke._lexmin_row
+
+    def checked(body, basis, d, tied):
+        row = fast(body, basis, d, tied)
+        ties.append(row == _lexmin_by_division(body, d, tied))
+        return row
+
+    monkeypatch.setattr(lemke, "_lexmin_row", checked)
+    for seed in range(2):
+        lemke_solve(generate(GeneratorSpec("sdp_gaussian", 300, m=150,
+                                           seed=seed)))
+    assert len(ties) > 50 and all(ties)

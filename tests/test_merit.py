@@ -249,6 +249,35 @@ def test_quadratic_kernel_matches_closed_forms_bit_for_bit():
     assert np.array_equal(np.diag(hbb), xi(b, a))
 
 
+def test_higher_exponent_derivatives_survive_overflowing_factors():
+    # r = 3 at a = 1e120, b = 1e-120: a^3 overflows and b^3 underflows,
+    # but ab = 1 and every partial is finite:
+    #   psi_a = (ab)^2 b = 1e-120     psi_b = (ab)^2 a = 1e120
+    #   psi_aa = 2 (ab) b^2 = 2e-240  psi_ab = 3 (ab)^2 = 3
+    #   psi_bb = 2 (ab) a^2 = 2e240
+    model = MeritModel.phi_r(3)
+    a, b = 1e120, 1e-120
+    x, y = np.array([a]), np.array([b])
+    assert gradient_from_xy(model, np.zeros((1, 1)), x, y)[0] == \
+        pytest.approx(1e-120, rel=1e-14)
+    assert gradient_from_xy(model, np.ones((1, 1)), x, y)[0] == \
+        pytest.approx(1e120, rel=1e-14)
+    # one term per entry, with the placements of the bit-for-bit test
+    # above: the padding pairs (1, 0) and (0, 0) add nothing
+    upper = np.array([[0.0, 1.0], [0.0, 0.0]])
+    haa = merit_hessian(model, LcpInstance(np.zeros((1, 1)), np.zeros(1)),
+                        x, [0], [0], y=y)[0, 0]
+    hab = merit_hessian(model, LcpInstance(upper, np.zeros(2)),
+                        np.array([a, 0.0]), [0], [1],
+                        y=np.array([b, 0.0]))[0, 0]
+    hbb = merit_hessian(model, LcpInstance(upper.T.copy(), np.zeros(2)),
+                        np.array([1.0, a]), [0], [0],
+                        y=np.array([0.0, b]))[0, 0]
+    assert haa == pytest.approx(2e-240, rel=1e-14)
+    assert hab == pytest.approx(3.0, rel=1e-14)
+    assert hbb == pytest.approx(2e240, rel=1e-14)
+
+
 def test_quadratic_kernel_kink_curvature_selection():
     # with M = 0 the Hessian block reduces to the pure d^2/da^2 term;
     # the selection at a = 0 is the constant endpoint 1
