@@ -116,7 +116,12 @@ def _cmd_solve(args):
         if s is None:
             s = max(1, support_count(x0))
     elif args.x0 is not None:
-        x0 = np.loadtxt(args.x0).reshape(-1)
+        with open(args.x0) as fh:
+            lines = fh.readlines()
+        # loadtxt only warns on a file without values
+        if not any(ln.partition("#")[0].strip() for ln in lines):
+            raise ValueError(f"no values in --x0 file {args.x0}")
+        x0 = np.loadtxt(lines).reshape(-1)
     if s is None:
         print("--s is required unless --warm-start-lemke sets it",
               file=sys.stderr)

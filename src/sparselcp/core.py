@@ -238,6 +238,8 @@ def load_instance(path):
         tail = lines[n + 2]
         if len(lines) > n + 3 or not tail.startswith("x*:"):
             raise ValueError("unrecognized trailing line")
+        if tail == "x*:":  # loadtxt would only warn on the empty line
+            raise ValueError("empty ground-truth line")
         gt = _parse([tail[3:]], 1)
         if gt.shape != (n,):
             raise ValueError("bad ground-truth length")

@@ -41,17 +41,18 @@ class Tableau:
     """Dense Lemke tableau.
 
     Column ids: 0..n-1 the slacks w_i, n..2n-1 the variables z_i, 2n the
-    artificial variable; column 2n+1 is the constant column.  basis[i]
-    names the variable currently basic in row i.  The body is held in
-    Fortran order, where pivot() updates it in place.  pivot() keeps no
-    check; solution() asserts once per run that the basis is
-    complementary.
+    artificial variable; column 2n+1 is the constant column.  basis is
+    an np.intp array whose entry i names the variable currently basic in
+    row i.  The body is held in Fortran order, where pivot() updates it
+    in place.  pivot() keeps no check; solution() asserts once per run
+    that the basis is complementary.
     """
 
-    basis: list
+    basis: np.ndarray
     body: np.ndarray
 
     def __post_init__(self):
+        self.basis = np.asarray(self.basis, dtype=np.intp)
         # dger updates a C-ordered array on a copy, which pivot() drops
         self.body = np.asfortranarray(self.body)
 
@@ -63,7 +64,7 @@ class Tableau:
         body[:, n:2 * n] = -M
         body[:, 2 * n] = -1.0
         body[:, 2 * n + 1] = q
-        return Tableau(basis=list(range(n)), body=body)
+        return Tableau(basis=np.arange(n), body=body)
 
     @property
     def n(self):
@@ -75,15 +76,14 @@ class Tableau:
         scaled = body[row] / body[row, col]
         dger(-1.0, body[:, col].copy(), scaled, a=body, overwrite_a=1)
         body[row] = scaled
-        leaving = self.basis[row]
+        leaving = int(self.basis[row])
         self.basis[row] = col
         return leaving
 
     def solution(self):
         """x read off the basis, once no pair w_i, z_i is basic together;
         values that support_mask reads as round-off come out exactly 0."""
-        n = self.n
-        basis = np.asarray(self.basis)
+        n, basis = self.n, self.basis
         basic = np.zeros(2 * n + 1, dtype=bool)
         basic[basis] = True
         assert not np.any(basic[:n] & basic[n:2 * n]), \
@@ -109,7 +109,6 @@ def _lexmin_row(body, basis, d, tied):
     and needs no division.  Only the nonbasic slack columns are divided.
     """
     n = body.shape[0]
-    basis = np.asarray(basis)
     # the slack basic in each tied row; n for a row holding z or the
     # artificial, which no basic slack column drops
     key = np.minimum(basis[tied], n)
@@ -169,8 +168,7 @@ def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None):
         np.divide(tab.body[:, -1], col, out=ratios, where=elig)
         rmin = ratios.min()
         tied = np.flatnonzero(ratios <= rmin + pivot_tol * max(1.0, abs(rmin)))
-        row = int(tied[0] if tied.size == 1
-                  else _lexmin_row(tab.body, tab.basis, col, tied))
+        row = int(_lexmin_row(tab.body, tab.basis, col, tied))
         leaving = tab.pivot(row, driving)
         pivots += 1
         logger.debug("pivot %d: in=%d out=%d row=%d", pivots, driving,

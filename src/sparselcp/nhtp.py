@@ -187,13 +187,10 @@ def solve(inst, model, config, x0=None, callback=None):
     when given, observes every iterate including the start; it must not
     mutate x.
 
-    When a line search exhausts its 51 trial steps the threshold step eta
-    is halved and the iteration retried from the same point; a retry that
-    reselects the same working set reuses its Newton solve and skips a
-    direction already seen to fail (see the module docstring).  The solve
-    reports LineSearchFailed only once eta has hit its floor.  The one
-    selection and residual at the head of each iteration serve every
-    exit, tested as stall, then residual, then iteration cap.
+    A failed line search halves eta and retries the iteration, under the
+    rules the module docstring sets out.  The one selection and residual
+    at the head of each iteration serve every exit, tested as stall, then
+    residual, then iteration cap.
     """
     n = inst.n
     s = config.s
@@ -211,7 +208,8 @@ def solve(inst, model, config, x0=None, callback=None):
     x[np.setdiff1d(np.arange(n), prev_T)] = 0.0
     t_start = time.perf_counter()
     eta_floor = eta * 2.0**-40
-    y = inst.M @ x + inst.q
+    # from zero, y is q itself: skip the n^2 product
+    y = inst.q.copy() if x0 is None else inst.M @ x + inst.q
     f = mer.value_from_xy(model, x, y)
     g = mer.gradient_from_xy(model, inst.M, x, y)
     trace = [f]

@@ -1,4 +1,4 @@
-"""Deterministic benchmark instance generators and matrix-class predicates.
+"""Deterministic benchmark instance generators and the recovery test.
 
 Reproducibility contract.  All randomness flows through a pinned pipeline
 so identical (example, n, m, s_star, seed) yield bitwise-identical random
@@ -28,7 +28,6 @@ BLAS setup they repeat exactly.  The pipeline:
 Stream consumption order per family is documented on each builder.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,10 +39,6 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
-
-
-class CombinatorialLimit(Exception):
-    """Requested enumeration is too large to brute-force."""
 
 
 class Rng:
@@ -201,39 +196,6 @@ def _psd(spec):
         q[off] = rng.uniforms_open(off.size)
     q[supp] = -Mx[supp]
     return LcpInstance(M, q, ground_truth=xs)
-
-
-def is_z_matrix(M):
-    """True when every off-diagonal entry is <= 0."""
-    M = np.asarray(M)
-    off = M - np.diag(np.diag(M))
-    return bool(np.all(off <= 0))
-
-
-def is_psd(M, tol=1e-10):
-    """True when the symmetric part has no eigenvalue below -tol."""
-    M = np.asarray(M, dtype=np.float64)
-    sym = 0.5 * (M + M.T)
-    return bool(np.linalg.eigvalsh(sym).min() >= -tol)
-
-
-def is_ps_matrix(M, s, tol=0.0):
-    """True when every principal minor of order <= s exceeds tol.
-
-    Brute-force determinant enumeration; rejects n > 20 with
-    CombinatorialLimit since C(n, <=s) grows too fast.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    n = M.shape[0]
-    if n > 20:
-        raise CombinatorialLimit("principal-minor enumeration needs n <= 20")
-    s = min(s, n)
-    for order in range(1, s + 1):
-        for idx in itertools.combinations(range(n), order):
-            sel = np.ix_(idx, idx)
-            if not np.linalg.det(M[sel]) > tol:
-                return False
-    return True
 
 
 def is_success(x, x_star):

@@ -57,6 +57,17 @@ def test_solve_with_start_file(tmp_path, capsys):
     assert "termination:" in capsys.readouterr().out
 
 
+def test_empty_start_file_is_an_input_error(tmp_path, capsys):
+    path = gen_planted(tmp_path)
+    x0 = tmp_path / "x0.txt"
+    capsys.readouterr()
+    for text in ("\n", "# comments only\n"):
+        x0.write_text(text)
+        assert main(["solve", "--instance", path, "--s", "2",
+                     "--x0", str(x0)]) == 1
+        assert "error: no values in --x0 file" in capsys.readouterr().err
+
+
 def test_solve_warm_start_sets_budget(tmp_path, capsys):
     path = gen_planted(tmp_path)
     assert main(["solve", "--instance", path, "--warm-start-lemke"]) == 0

@@ -208,7 +208,7 @@ def test_instance_file_errors(tmp_path):
     with pytest.raises(ValueError):
         load_instance(badrow)
     badtail = tmp_path / "badtail.txt"
-    for tail in ("not-a-solution-line\n", "x*: 1\nextra\n"):
+    for tail in ("not-a-solution-line\n", "x*: 1\nextra\n", "x*:\n"):
         badtail.write_text("1\n1\n-1\n" + tail)
         with pytest.raises(ValueError):
             load_instance(badtail)
@@ -222,3 +222,10 @@ def test_instance_file_errors(tmp_path):
 def test_package_exports_resolve():
     for name in sparselcp.__all__:
         assert hasattr(sparselcp, name), name
+    # solver internals and test-only helpers stay off the package root
+    for name in ("SingularError", "dense_solve", "top_s_by_magnitude",
+                 "Tableau", "IterateState", "fallback_direction",
+                 "line_search", "newton_direction", "residual",
+                 "select_support", "Rng", "CombinatorialLimit",
+                 "is_ps_matrix", "is_psd", "is_z_matrix"):
+        assert not hasattr(sparselcp, name), name

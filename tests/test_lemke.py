@@ -133,7 +133,8 @@ def test_tableau_layout():
     q = np.array([-1.0, 4.0])
     tab = Tableau.initial(M, q)
     assert tab.body.shape == (2, 6)
-    assert tab.basis == [0, 1]
+    assert tab.basis.tolist() == [0, 1]
+    assert tab.basis.dtype == np.intp
     assert np.array_equal(tab.body[:, :2], np.eye(2))
     assert np.array_equal(tab.body[:, 2:4], -M)
     assert np.array_equal(tab.body[:, 4], [-1.0, -1.0])
@@ -215,13 +216,13 @@ def test_tie_break_on_basic_slack_columns():
     for tied, row in (([0, 1], 1), ([0, 2], 2), ([1, 2], 2),
                       ([0, 1, 2], 2)):
         tied = np.array(tied)
-        assert lemke._lexmin_row(body, [0, 1, 5], d, tied) == row
+        assert lemke._lexmin_row(body, np.array([0, 1, 5]), d, tied) == row
         assert _lexmin_by_division(body, d, tied) == row
     # z_1 (id 4) basic in row 1 instead: slack column 1 is nonbasic, its
     # quotients 0.7 / 4 < 0.2 / 1 give row 2
     body[:, 1] = [0.3, 0.2, 0.7]
     tied = np.array([1, 2])
-    assert lemke._lexmin_row(body, [0, 4, 5], d, tied) == 2
+    assert lemke._lexmin_row(body, np.array([0, 4, 5]), d, tied) == 2
     assert _lexmin_by_division(body, d, tied) == 2
 
 

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matrix_classes import (CombinatorialLimit, is_ps_matrix, is_psd,
+                            is_z_matrix)
 from sparselcp.merit import MeritModel, merit_value
-from sparselcp.problems import (CombinatorialLimit, GeneratorSpec, Rng,
-                                generate, is_ps_matrix, is_psd, is_success,
-                                is_z_matrix)
+from sparselcp.problems import GeneratorSpec, Rng, generate, is_success
 
 PHI2 = MeritModel.phi_r(2)
 
