@@ -199,8 +199,8 @@ def merit_hessian(model, inst, x, rows, cols, y=None):
     R = np.asarray(rows, dtype=np.intp)
     C = np.asarray(cols, dtype=np.intp)
     haa, hab, hbb = _KERNELS[model.kind](x, y, model.r, 2)
-    MC = M[:, C]
-    MR = MC if np.array_equal(R, C) else M[:, R]
+    MC = inst.columns(C)
+    MR = MC if np.array_equal(R, C) else inst.columns(R)
     H = MR.T @ (hbb[:, None] * MC)
     H += hab[R][:, None] * MC[R]
     H += MR[C].T * hab[C][None, :]

@@ -161,7 +161,7 @@ def line_search(state, direction, model, inst, config):
     x, g, f = state.x, state.grad, state.value
     t_idx = state.support
     slope = float(np.dot(g, direction))
-    cols = inst.M[:, t_idx]
+    cols = inst.columns(t_idx)
     xt = x[t_idx]
     dt = direction[t_idx]
     alpha = 1.0

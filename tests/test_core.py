@@ -7,6 +7,7 @@ import sparselcp
 from sparselcp.core import (LcpInstance, SingularError, SolverConfig,
                             Termination, dense_solve, load_instance,
                             save_instance, top_s_by_magnitude)
+from sparselcp.problems import GeneratorSpec, generate
 
 
 def gauss_solve(A, b):
@@ -86,6 +87,65 @@ def test_top_s_permutation_equivariance():
         perm = rng.permutation(n)
         permuted = set(top_s_by_magnitude(z[perm], s).tolist())
         assert {int(perm[i]) for i in permuted} == base
+
+
+def stable_top_s(z, s):
+    """Reference selection: a stable sort on -|z|, which ranks NaN last."""
+    return np.sort(np.argsort(-np.abs(z), kind="stable")[:s])
+
+
+def test_top_s_matches_stable_sort():
+    rng = np.random.default_rng(11)
+    specials = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf,
+                         np.nan])
+    for trial in range(10_000):
+        n = int(rng.integers(1, 13))
+        if trial % 2:
+            z = rng.choice(specials, size=n)
+        else:
+            z = rng.standard_normal(n)
+        for s in range(1, n + 1):
+            got = top_s_by_magnitude(z, s)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, stable_top_s(z, s)), (z, s)
+
+
+def test_top_s_ranks_nan_below_every_number():
+    # a partition that ranked NaN as the largest magnitude would return
+    # [1, 5] here: both infinities, then one NaN short of the 2 at index 0
+    z = np.array([2.0, -np.inf, -1.0, -1.0, np.nan, -np.inf, np.nan, -1.0])
+    assert top_s_by_magnitude(z, 3).tolist() == [0, 1, 5]
+    # with fewer numbers than s, the lowest-index NaNs fill the rest
+    z = np.array([np.nan, 1.0, np.nan, np.nan])
+    assert top_s_by_magnitude(z, 3).tolist() == [0, 1, 2]
+
+
+def test_columns_match_the_column_gather():
+    sym = generate(GeneratorSpec("sdp_gaussian", 40, seed=2))
+    rng = np.random.default_rng(3)
+    plain = LcpInstance(rng.standard_normal((40, 40)), np.zeros(40))
+    assert sym.symmetric and not plain.symmetric
+    for inst in (sym, plain):
+        for idx in ([3, 7, 21], [21, 3, 7], [7, 7, 0, 7], [], [39]):
+            idx = np.array(idx, dtype=np.intp)
+            got, want = inst.columns(idx), inst.M[:, idx]
+            assert got.shape == want.shape == (40, idx.size)
+            assert got.strides == want.strides
+            assert np.array_equal(got, want)
+
+
+def test_symmetric_is_exact_to_the_bit():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((600, 600))
+    M = A + A.T
+    assert LcpInstance(M.copy(), np.zeros(600)).symmetric
+    # one ulp off in the off-diagonal tile (0, 2) of the check
+    M[5, 590] = np.nextafter(M[5, 590], np.inf)
+    assert not LcpInstance(M, np.zeros(600)).symmetric
+    # +0 and -0 are equal numbers but different bits
+    Z = np.zeros((3, 3))
+    Z[0, 2] = -0.0
+    assert not LcpInstance(Z, np.zeros(3)).symmetric
 
 
 def test_top_s_range_errors():

@@ -250,6 +250,30 @@ def test_eta_retries_do_not_repeat_work(monkeypatch):
     assert rep.support.tolist() == [44, 150, 203, 226, 408]
 
 
+def test_row_reads_leave_the_solve_bit_identical(monkeypatch):
+    # s = 10 drops coordinates (the T x J block) and retries eta, so every
+    # read of M[:, T] runs; a symmetric M is read by rows unless patched
+    inst = generate(GeneratorSpec("sdp_gaussian", 300, seed=1))
+    assert inst.symmetric
+    config = SolverConfig(s=10)
+    rows = solve(inst, PHI2, config)
+    read = []
+
+    def column_read(self, idx):
+        read.append(len(idx))
+        return self.M[:, idx]
+
+    monkeypatch.setattr(LcpInstance, "columns", column_read)
+    cols = solve(inst, PHI2, config)
+    assert read
+    assert np.array_equal(rows.x, cols.x)
+    assert rows.f_trace == cols.f_trace
+    assert rows.iterations == cols.iterations
+    assert np.array_equal(rows.support, cols.support)
+    assert rows.termination is cols.termination
+    assert rows.backtracks_total == cols.backtracks_total
+
+
 def test_oversized_start_is_trimmed():
     first = []
 
