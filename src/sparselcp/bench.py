@@ -37,7 +37,8 @@ from . import nhtp
 from .core import SolverConfig, _fmt
 from .lemke import PivotLimit, RayTermination, lemke_solve
 from .merit import KINDS, MeritModel, merit_gradient, merit_value
-from .problems import PLANTED, GeneratorSpec, generate, is_success
+from .problems import (PLANTED, GeneratorSpec, generate, is_success,
+                       relative_error)
 from .tuning import TuningConfig, nhtpt_solve, support_count
 
 logger = logging.getLogger("sparselcp.bench")
@@ -157,7 +158,7 @@ def _scaling_trial(spec, point, trial, inst):
     report = nhtp.solve(inst, model, SolverConfig(s=_budget(spec, point)))
     gt = inst.ground_truth
     if gt is not None:
-        quality = float(np.linalg.norm(report.x - gt) / np.linalg.norm(gt))
+        quality = relative_error(report.x, gt)
     else:
         quality = merit_value(_F2, inst, report.x)
     grad2 = float(np.linalg.norm(merit_gradient(_F2, inst, report.x)))

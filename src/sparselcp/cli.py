@@ -26,7 +26,7 @@ from .bench import EXPERIMENTS, ExperimentSpec, GridPoint, run_experiment
 from .core import SolverConfig, Termination, _fmt, load_instance, save_instance
 from .lemke import PivotLimit, RayTermination, lemke_solve
 from .merit import KINDS, MeritModel, merit_value
-from .problems import EXAMPLES, GeneratorSpec, generate
+from .problems import EXAMPLES, GeneratorSpec, generate, relative_error
 from .tuning import TuningConfig, nhtpt_solve, support_count
 
 
@@ -89,8 +89,7 @@ def _print_report(inst, report):
     print(f"iterations:  {report.iterations}")
     _print_nonzeros(report.x)
     if inst.ground_truth is not None:
-        err = (np.linalg.norm(report.x - inst.ground_truth)
-               / np.linalg.norm(inst.ground_truth))
+        err = relative_error(report.x, inst.ground_truth)
         print(f"rel_error:   {err:.6e}")
 
 

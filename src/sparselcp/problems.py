@@ -198,7 +198,16 @@ def _psd(spec):
     return LcpInstance(M, q, ground_truth=xs)
 
 
-def is_success(x, x_star):
-    """Recovery test: ||x - x*|| < 0.01 ||x*||."""
+def relative_error(x, x_star):
+    """||x - x*|| / ||x*|| as a float.  For x* = 0 it is 0 when x = 0 too
+    and inf otherwise."""
     x_star = np.asarray(x_star, dtype=np.float64)
-    return bool(np.linalg.norm(x - x_star) < 0.01 * np.linalg.norm(x_star))
+    if not np.any(x_star):
+        return np.inf if np.any(x) else 0.0
+    return float(np.linalg.norm(x - x_star) / np.linalg.norm(x_star))
+
+
+def is_success(x, x_star):
+    """Recovery test: relative error below 1 %, so for the planted solution
+    x* = 0 it asks for x = 0."""
+    return relative_error(x, x_star) < 0.01

@@ -1,0 +1,31 @@
+"""The merit gradient and Hessian blocks as one product over every row of
+M, the reference the row-skipping forms in sparselcp.merit are tested
+against."""
+
+import numpy as np
+
+from sparselcp.merit import _KERNELS
+
+
+def dense_gradient(model, M, x, y):
+    """g_a + M^T g_b as one matvec."""
+    da, db = _KERNELS[model.kind](x, y, model.r, 1)
+    return da + M.T @ db
+
+
+def dense_hessian(model, inst, x, rows, cols, y=None):
+    """H[rows, cols] with the M^T Diag(h_bb) M term over all n rows."""
+    x = np.asarray(x, dtype=np.float64)
+    if y is None:
+        y = inst.M @ x + inst.q
+    R = np.asarray(rows, dtype=np.intp)
+    C = np.asarray(cols, dtype=np.intp)
+    haa, hab, hbb = _KERNELS[model.kind](x, y, model.r, 2)
+    MC = inst.columns(C)
+    MR = MC if np.array_equal(R, C) else inst.columns(R)
+    H = MR.T @ (hbb[:, None] * MC)
+    H += hab[R][:, None] * MC[R]
+    H += MR[C].T * hab[C][None, :]
+    ri, ci = np.nonzero(R[:, None] == C)
+    H[ri, ci] += haa[R[ri]]
+    return H

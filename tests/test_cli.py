@@ -41,6 +41,21 @@ def test_solve_reports_solution(tmp_path, capsys):
     assert "nonzeros:    2" in out
 
 
+@pytest.mark.parametrize("argv, q, err", [
+    (("solve", "--s", "1"), [1.0, 1.0], "0.000000e+00"),
+    (("tune",), [1.0, 1.0], "0.000000e+00"),
+    (("solve", "--s", "1"), [-1.0, 1.0], "inf"),
+])
+def test_zero_ground_truth_error(tmp_path, capsys, argv, q, err):
+    # x* = 0 solves the instance when q >= 0; with q_1 < 0 it does not,
+    # and the solver's nonzero answer is infinitely far from it in
+    # relative terms
+    path = write_instance(tmp_path, 2.0 * np.eye(2), q,
+                          ground_truth=np.zeros(2))
+    assert main([argv[0], "--instance", path, *argv[1:]]) == 0
+    assert f"rel_error:   {err}\n" in capsys.readouterr().out
+
+
 def test_solve_requires_budget(tmp_path, capsys):
     path = gen_planted(tmp_path)
     capsys.readouterr()

@@ -1,12 +1,16 @@
 """Tests for the merit kernels: values, gradients, Hessian blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dense_merit import dense_gradient, dense_hessian
+from sparselcp import merit
 from sparselcp.core import LcpInstance
-from sparselcp.merit import (KINDS, MeritModel, gradient_from_xy,
-                             merit_gradient, merit_hessian, merit_value,
-                             value_from_xy)
+from sparselcp.merit import (_BLOCK_ENTRIES, KINDS, MeritModel,
+                             gradient_from_xy, merit_gradient, merit_hessian,
+                             merit_value, value_from_xy)
 
 ALL_MODELS = [MeritModel.phi_r(2), MeritModel.phi_r(2.5), MeritModel.phi_r(3),
               MeritModel.fischer_burmeister(), MeritModel.natural_min(),
@@ -311,3 +315,84 @@ def test_higher_exponents_flatten_near_solution():
     v2 = merit_value(MeritModel.phi_r(2), inst, x)
     v3 = merit_value(MeritModel.phi_r(3), inst, x)
     assert 0 < v3 < v2
+
+
+def point_with_active_rows(rng, n, count):
+    """(x, y) at which phi_r's and psi2's b-partials are nonzero on exactly
+    count rows: x, y > 0 there and x <= 0 < y elsewhere."""
+    x = np.zeros(n)
+    y = rng.uniform(0.5, 2.0, size=n)
+    active = rng.choice(n, size=count, replace=False)
+    x[active] = rng.uniform(0.5, 2.0, size=count)
+    off = np.setdiff1d(np.arange(n), active)[::2]
+    x[off] = -rng.uniform(0.5, 2.0, size=off.size)
+    return x, y
+
+
+def signed_zero_b_partials(kernel):
+    """The kernel with every exact zero of psi_b and psi_bb made -0.0."""
+    def signed(a, b, r, order):
+        parts = kernel(a, b, r, order)
+        if order:
+            parts[-1][parts[-1] == 0.0] = -0.0
+        return parts
+    return signed
+
+
+@pytest.mark.parametrize("model", [MeritModel.phi_r(2), MeritModel.phi_r(3),
+                                   MeritModel.fischer_burmeister(),
+                                   MeritModel.natural_min(),
+                                   MeritModel.psi2()],
+                         ids=lambda m: f"{m.kind}{m.r:g}")
+def test_active_rows_match_dense_formulas(monkeypatch, model):
+    # n = 600 puts three blocks of rows below n/2; M is not symmetric, so
+    # the gradient must read rows of M, not columns
+    n = 600
+    block = _BLOCK_ENTRIES // n
+    rng = np.random.default_rng(61)
+    inst = LcpInstance(rng.standard_normal((n, n)), rng.standard_normal(n))
+    monkeypatch.setitem(merit._KERNELS, model.kind,
+                        signed_zero_b_partials(merit._KERNELS[model.kind]))
+    R = np.sort(rng.choice(n, size=12, replace=False))
+    C = np.array([R[3], 5, 598, 5, R[0]])
+    for count in (0, 1, block - 1, block, block + 1, n // 2, n // 2 + 1, n):
+        x, y = point_with_active_rows(rng, n, count)
+        db = merit._KERNELS[model.kind](x, y, model.r, 1)[1]
+        hbb = merit._KERNELS[model.kind](x, y, model.r, 2)[2]
+        if model.kind in ("phi_r", "psi2"):
+            assert np.count_nonzero(db) == np.count_nonzero(hbb) == count
+            assert count == n or np.signbit(db[db == 0.0]).all()
+        got = (gradient_from_xy(model, inst.M, x, y),
+               merit_hessian(model, inst, x, R, R, y=y),
+               merit_hessian(model, inst, x, R, C, y=y))
+        ref = (dense_gradient(model, inst.M, x, y),
+               dense_hessian(model, inst, x, R, R, y=y),
+               dense_hessian(model, inst, x, R, C, y=y))
+        grad_dense = 2 * np.count_nonzero(db) > n
+        hess_dense = 2 * np.count_nonzero(hbb) > n
+        for g, r, d in zip(got, ref, (grad_dense, hess_dense, hess_dense)):
+            if d:  # the one-product path keeps every bit
+                assert np.array_equal(g, r), (count, g.shape)
+            else:
+                np.testing.assert_allclose(g, r, rtol=1e-12,
+                                           atol=1e-12 * np.abs(r).max())
+
+
+def test_gradient_memory_stays_within_one_block():
+    # a quarter of the rows active: gathering them all at once would
+    # hold 500 x 2000 doubles (8 MB)
+    n = 2000
+    rng = np.random.default_rng(67)
+    M = rng.standard_normal((n, n))
+    x, y = point_with_active_rows(rng, n, n // 4)
+    model = MeritModel.phi_r(2)
+    expected = dense_gradient(model, M, x, y)
+    tracemalloc.start()
+    try:
+        g = gradient_from_xy(model, M, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(g, expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+    assert peak < 8 * _BLOCK_ENTRIES + 6 * (8 * n)  # a block, 6 vectors

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_merit import dense_gradient, dense_hessian
 from sparselcp import nhtp
 from sparselcp.core import (LcpInstance, SolverConfig, Termination,
                             top_s_by_magnitude)
@@ -272,6 +273,26 @@ def test_row_reads_leave_the_solve_bit_identical(monkeypatch):
     assert np.array_equal(rows.support, cols.support)
     assert rows.termination is cols.termination
     assert rows.backtracks_total == cols.backtracks_total
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+@pytest.mark.parametrize("model", [PHI2, MeritModel.psi2()],
+                         ids=lambda m: m.kind)
+def test_row_skipping_derivatives_leave_the_solve_unchanged(monkeypatch,
+                                                           model, n):
+    # the derivatives skip the rows of M whose b-partials vanish; the
+    # solve must take the same path as with one product over every row
+    spec = GeneratorSpec("sdp_gaussian", n, seed=2)
+    inst = generate(spec)
+    config = SolverConfig(s=spec.resolved_s_star)
+    skipping = solve(inst, model, config)
+    monkeypatch.setattr(nhtp.mer, "gradient_from_xy", dense_gradient)
+    monkeypatch.setattr(nhtp.mer, "merit_hessian", dense_hessian)
+    dense = solve(inst, model, config)
+    assert skipping.iterations == dense.iterations
+    assert skipping.termination is dense.termination
+    assert np.array_equal(skipping.support, dense.support)
+    assert np.allclose(skipping.x, dense.x, rtol=1e-10, atol=1e-12)
 
 
 def test_oversized_start_is_trimmed():

@@ -10,7 +10,8 @@ import pytest
 from matrix_classes import (CombinatorialLimit, is_ps_matrix, is_psd,
                             is_z_matrix)
 from sparselcp.merit import MeritModel, merit_value
-from sparselcp.problems import GeneratorSpec, Rng, generate, is_success
+from sparselcp.problems import (GeneratorSpec, Rng, generate, is_success,
+                                relative_error)
 
 PHI2 = MeritModel.phi_r(2)
 
@@ -262,6 +263,18 @@ def test_is_success_threshold():
     x_star = np.array([10.0, 0.0])
     assert is_success(np.array([10.05, 0.0]), x_star)   # 0.5% error
     assert not is_success(np.array([10.2, 0.0]), x_star)  # 2% error
+
+
+def test_zero_ground_truth_counts_only_exact_recovery():
+    # x* = 0 is the planted solution of any instance with q >= 0
+    zero = np.zeros(2)
+    assert is_success(zero, zero)
+    assert is_success(np.array([-0.0, 0.0]), zero)
+    assert not is_success(np.array([1e-300, 0.0]), zero)
+    assert relative_error(zero, zero) == 0.0
+    assert relative_error(np.array([1e-300, 0.0]), zero) == np.inf
+    assert relative_error(np.array([10.2, 0.0]), [10.0, 0.0]) == \
+        pytest.approx(0.02)
 
 
 def test_default_sparsity_is_one_percent():
