@@ -11,7 +11,8 @@ bench   run an experiment sweep and write CSV output
 Exit codes: 0 on success, 2 when the solver or pivoting run ends in a
 failure state (ray termination, pivot limit, failed line search), 1 on
 usage errors.  The environment variable SPARSE_LCP_LOG selects logging:
-"off" (default), "info", or "trace" (per-iteration detail).
+"off" (default), "info", or "trace" (per-iteration detail), in any case;
+any other value is a usage error.
 """
 
 import argparse
@@ -40,14 +41,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_LOG_LEVELS = {"off": None, "info": logging.INFO, "trace": logging.DEBUG}
+
+
 def _setup_logging():
-    level = os.environ.get("SPARSE_LCP_LOG", "off").lower()
-    if level == "off":
-        return
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if level == "trace" else logging.INFO,
-        format="%(name)s %(levelname)s %(message)s")
+    value = os.environ.get("SPARSE_LCP_LOG", "off")
+    if value.lower() not in _LOG_LEVELS:
+        raise ValueError(f"SPARSE_LCP_LOG must be off, info or trace, "
+                         f"not {value!r}")
+    level = _LOG_LEVELS[value.lower()]
+    if level is not None:
+        logging.basicConfig(stream=sys.stderr, level=level,
+                            format="%(name)s %(levelname)s %(message)s")
 
 
 def _given(args, *names):
@@ -246,10 +251,9 @@ def build_parser():
 
 
 def main(argv=None):
-    _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         return args.fn(args)
     except RayTermination:
         print("lemke: ray termination (no complementary solution found)",

@@ -13,8 +13,8 @@ lies within a tolerance of the minimum are tied, and the tie goes to the
 lexicographically smallest row of B^-1 (the slack block of the tableau)
 divided by the driving column.  Round-off in the update therefore cannot
 pick the path through a degenerate basis, and in exact arithmetic the
-rule cannot cycle.  The tableau is stored in Fortran order so that each
-pivot is one in-place BLAS rank-1 update.
+rule cannot cycle.  The tableau is built in place in Fortran order, and
+each pivot is one BLAS rank-1 update (dger) of that body.
 """
 
 import logging
@@ -43,25 +43,21 @@ class Tableau:
     Column ids: 0..n-1 the slacks w_i, n..2n-1 the variables z_i, 2n the
     artificial variable; column 2n+1 is the constant column.  basis is
     an np.intp array whose entry i names the variable currently basic in
-    row i.  The body is held in Fortran order, where pivot() updates it
-    in place.  pivot() keeps no check; solution() asserts once per run
-    that the basis is complementary.
+    row i.  initial() builds the body in place in Fortran order; pivot()
+    keeps what dger returns: that body updated in place, or an updated
+    copy of a body in any other layout.  pivot() keeps no check;
+    solution() asserts once per run that the basis is complementary.
     """
 
     basis: np.ndarray
     body: np.ndarray
 
-    def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=np.intp)
-        # dger updates a C-ordered array on a copy, which pivot() drops
-        self.body = np.asfortranarray(self.body)
-
     @staticmethod
     def initial(M, q):
         n = q.shape[0]
-        body = np.empty((n, 2 * n + 2), order="F")
-        body[:, :n] = np.eye(n)
-        body[:, n:2 * n] = -M
+        body = np.zeros((n, 2 * n + 2), order="F")
+        np.fill_diagonal(body[:, :n], 1.0)
+        np.negative(M, out=body[:, n:2 * n])
         body[:, 2 * n] = -1.0
         body[:, 2 * n + 1] = q
         return Tableau(basis=np.arange(n), body=body)
@@ -74,7 +70,8 @@ class Tableau:
         """Make column col basic in row, returning the leaving variable."""
         body = self.body
         scaled = body[row] / body[row, col]
-        dger(-1.0, body[:, col].copy(), scaled, a=body, overwrite_a=1)
+        body = self.body = dger(-1.0, body[:, col].copy(), scaled, a=body,
+                                overwrite_a=1)
         body[row] = scaled
         leaving = int(self.basis[row])
         self.basis[row] = col

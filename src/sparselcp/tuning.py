@@ -61,7 +61,8 @@ def nhtpt_solve(inst, model, config, tuning=None):
     soon as the merit value falls below tuning.eps, and otherwise grows
     s to ceil(rho * s), capped at n.  Returns (report, rounds) where
     rounds counts solver invocations; if no round is accepted the
-    best-objective report is returned flagged ITERATION_CAP.
+    best-objective report is returned flagged ITERATION_CAP, unless its
+    line search failed: that report keeps LINE_SEARCH_FAILED.
     """
     if tuning is None:
         tuning = TuningConfig()
@@ -82,7 +83,8 @@ def nhtpt_solve(inst, model, config, tuning=None):
         if s >= n:
             break  # budget saturated; further rounds would repeat
         s = min(math.ceil(rho * s), n)
-    best.termination = Termination.ITERATION_CAP
+    if best.termination is not Termination.LINE_SEARCH_FAILED:
+        best.termination = Termination.ITERATION_CAP
     return best, rounds
 
 

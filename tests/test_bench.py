@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from sparselcp import bench
+from sparselcp import bench, nhtp
 from sparselcp.bench import (EXPERIMENTS, ExperimentSpec, GridPoint,
                              run_experiment)
+from sparselcp.core import SolverConfig
+from sparselcp.merit import MeritModel, merit_value
+from sparselcp.problems import GeneratorSpec, generate
+
+PHI2 = MeritModel.phi_r(2)
 
 
 def spec_for(tmp_path, experiment, grid, name="out.csv", **kw):
@@ -45,6 +50,8 @@ def test_experiment_spec_validation(tmp_path):
         ExperimentSpec("scaling", (), str(tmp_path / "x.csv"))
     with pytest.raises(ValueError):
         ExperimentSpec("scaling", grid, str(tmp_path / "x.csv"), trials=0)
+    with pytest.raises(ValueError, match="must be GridPoint"):
+        ExperimentSpec("scaling", ((10, 1),), str(tmp_path / "x.csv"))
     # the spec is built before any trial runs, so a sweep is never lost
     # at its final write
     with pytest.raises(ValueError, match="does not exist"):
@@ -172,6 +179,19 @@ def test_scaling_schema_on_exact_family(tmp_path):
     assert float(data[0].split(",")[4]) == 1.0  # support size
 
 
+def test_scaling_reports_f2_without_ground_truth(tmp_path):
+    # sdp_uniform_nox plants nothing, so the error column carries f_2;
+    # on this draw a budget of 1 leaves f_2 > 0
+    spec = spec_for(tmp_path, "scaling", (GridPoint(400, s=1),),
+                    example="sdp_uniform_nox", trials=1)
+    run_experiment(spec)
+    _, data = read_rows(tmp_path / "out.csv")
+    inst = generate(GeneratorSpec("sdp_uniform_nox", 400))
+    f2 = merit_value(PHI2, inst, nhtp.solve(inst, PHI2, SolverConfig(s=1)).x)
+    assert f2 > 0.0
+    assert float(data[0].split(",")[2]) == f2
+
+
 def test_merit_comparison_rows_and_traces(tmp_path):
     grid = (GridPoint(60, s_star=2),)
     spec = spec_for(tmp_path, "merit_comparison", grid, trials=2)
@@ -205,6 +225,28 @@ def test_selection_comparison_schema(tmp_path):
         assert float(parts[2]) <= 1e-10   # all methods solve the draw
         assert float(parts[4]) == 2.0     # planted support size recovered
         assert float(parts[5]) == 1.0     # all trials completed
+
+
+@pytest.mark.parametrize("example, fixed_completes",
+                         [("sdp_gaussian", True), ("sdp_uniform_nox", False)])
+def test_selection_when_lemke_fails(tmp_path, monkeypatch, example,
+                                    fixed_completes):
+    # the fixed budget falls back to the planted support; without one it
+    # has no reference and does not run
+    def ray(inst):
+        raise bench.RayTermination("no blocking variable")
+
+    monkeypatch.setattr(bench, "lemke_solve", ray)
+    spec = spec_for(tmp_path, "s_selection", (GridPoint(60),),
+                    example=example)
+    run_experiment(spec)
+    _, data = read_rows(tmp_path / "out.csv")
+    rows = {line.split(",")[0]: line.split(",") for line in data}
+    for method, done in (("Lemke", False), ("NHTP-fixed-s", fixed_completes),
+                         ("NHTPT", True)):
+        f2, support, completed = (float(rows[method][i]) for i in (2, 4, 5))
+        assert completed == float(done), method
+        assert np.isnan(f2) == np.isnan(support) == (not done), method
 
 
 def test_mean_time_column_live_timing(tmp_path):

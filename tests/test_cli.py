@@ -1,5 +1,10 @@
 """Tests for the command-line interface: subcommands and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -103,10 +108,11 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     # a merit that overflows at the start drives the solver into its
     # line-search failure stop
     bad = write_instance(tmp_path, [[1.0]], [-1e300], name="huge.txt")
-    with np.errstate(over="ignore"):
-        code = main(["solve", "--instance", bad, "--s", "1"])
-    assert code == 2
-    assert "line_search_failed" in capsys.readouterr().out
+    for cmd in (["solve", "--s", "1"], ["tune"]):
+        with np.errstate(over="ignore"):
+            code = main([cmd[0], "--instance", bad, *cmd[1:]])
+        assert code == 2
+        assert "termination: line_search_failed" in capsys.readouterr().out
 
 
 def test_non_finite_instance_is_an_input_error(tmp_path, capsys):
@@ -171,6 +177,35 @@ def test_lemke_bad_arguments_are_usage_errors(tmp_path, capsys):
         assert "error:" in err and "pivot limit" not in err
 
 
+def test_log_levels(tmp_path):
+    # in a fresh interpreter: pytest's log capture would make the CLI's
+    # logging.basicConfig a no-op in this one
+    path = write_instance(tmp_path, np.eye(2), [-1.0, -2.0])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "SPARSE_LCP_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))
+    for value, code, info, debug in ((None, 0, False, False),
+                                     ("OFF", 0, False, False),
+                                     ("info", 0, True, False),
+                                     ("Trace", 0, True, True),
+                                     ("bogus", 1, False, False)):
+        run_env = env if value is None else {**env, "SPARSE_LCP_LOG": value}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparselcp.cli", "lemke", "--instance",
+             path], env=run_env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (value, proc.stderr)
+        assert ("sparselcp.lemke INFO lemke start" in proc.stderr) == info
+        assert ("sparselcp.lemke DEBUG pivot 2" in proc.stderr) == debug
+        if code == 1:
+            # rejected before the instance is read or a pivot is made
+            assert proc.stdout == ""
+            assert proc.stderr == ("error: SPARSE_LCP_LOG must be off, info "
+                                   "or trace, not 'bogus'\n")
+        else:
+            assert "pivots:      3" in proc.stdout
+
+
 def test_warm_start_propagates_ray_failure(tmp_path, capsys):
     ray = write_instance(tmp_path, [[-1.0]], [-1.0], name="ray.txt")
     assert main(["solve", "--instance", ray, "--warm-start-lemke"]) == 2
@@ -214,9 +249,10 @@ def test_bench_grid_placeholders(tmp_path):
 def test_bench_rejects_bad_grid(tmp_path, capsys):
     out = tmp_path / "x.csv"
     # s_star or s outside [1, n] is rejected before any trial runs
-    # so are an r that phi_r does not take and a fifth field
+    # so are an r that phi_r does not take, a fifth field, a cell
+    # without n and a grid without cells
     for grid in ("oops", "20:-:0", "40:41", "40:2:2:0", "40:2;40:41",
-                 "20:-:inf", "40:2:2:2:99"):
+                 "20:-:inf", "40:2:2:2:99", ":2", ";"):
         assert main(["bench", "--experiment", "scaling", "--grid", grid,
                      "--trials", "1", "--out", str(out)]) == 1
         assert "bad --grid" in capsys.readouterr().err

@@ -267,6 +267,15 @@ def test_instance_file_errors(tmp_path):
     badrow.write_text("2\n1 0 0\n0 1\n1 2\n")
     with pytest.raises(ValueError):
         load_instance(badrow)
+    # rows of equal length that do not match n pass loadtxt and reach
+    # load_instance's own shape checks
+    for text, message in (("2\n1 2 3\n4 5 6\n1 2\n", "bad matrix row length"),
+                          ("2\n1 0\n0 1\n1 2 3\n", "bad q length"),
+                          ("2\n1 0\n0 1\n-1 -1\nx*: 1\n",
+                           "bad ground-truth length")):
+        badrow.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_instance(badrow)
     badtail = tmp_path / "badtail.txt"
     for tail in ("not-a-solution-line\n", "x*: 1\nextra\n", "x*:\n"):
         badtail.write_text("1\n1\n-1\n" + tail)

@@ -1,6 +1,7 @@
 """Tests for the complementary pivoting baseline."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,8 +142,24 @@ def test_tableau_layout():
     assert np.array_equal(tab.body[:, 5], q)
 
 
+def test_initial_builds_the_body_in_place():
+    # the identity and -M blocks are written straight into the body: no
+    # n x n temporary is made on the way
+    n = 1000
+    M = np.random.default_rng(5).standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        tab = Tableau.initial(M, -np.ones(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tab.body.flags.f_contiguous
+    assert peak <= 1.01 * tab.body.nbytes
+
+
 def test_pivot_updates_a_tableau_built_from_a_c_ordered_body():
-    # the in-place update needs Fortran order; Tableau converts any body
+    # dger updates the Fortran body of initial() in place and returns a
+    # C-ordered one as an updated copy, which pivot() keeps
     M = np.array([[2.0, 1.0], [0.0, 3.0]])
     q = np.array([-1.0, 4.0])
     ref = Tableau.initial(M, q)

@@ -87,6 +87,16 @@ def test_unaccepted_search_returns_best_round():
     assert report.objective >= 1.0 - 1e-12
 
 
+def test_failed_line_search_keeps_its_termination():
+    # a merit that overflows at the start: the only round's line search
+    # fails, and the search must not report that as a capped budget
+    inst = LcpInstance(np.eye(1), np.array([-1e300]))
+    with np.errstate(over="ignore"):
+        report, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1))
+    assert rounds == 1
+    assert report.termination is Termination.LINE_SEARCH_FAILED
+
+
 def test_max_rounds_truncates_schedule():
     inst = generate(GeneratorSpec("sdp_gaussian", 40, s_star=4, m=20, seed=8))
     report, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1),
