@@ -8,6 +8,12 @@ tune    run the geometric sparsity-budget search
 lemke   run the complementary pivoting baseline
 bench   run an experiment sweep and write CSV output
 
+solve, tune and lemke print the point they found and its certificate:
+max(||x_-||, ||y_-||, ||x * y||) / max(1, ||q||) in inf-norms, with
+y = M x + q computed from the printed x (core.certificate).  It needs no
+ground truth; a solve ends `certified` when its own certificate is at
+most 1e-12.
+
 Exit codes: 0 on success, 2 when the solver or pivoting run ends in a
 failure state (ray termination, pivot limit, failed line search), 1 on
 usage errors.  The environment variable SPARSE_LCP_LOG selects logging:
@@ -24,7 +30,8 @@ import numpy as np
 
 from . import nhtp
 from .bench import EXPERIMENTS, ExperimentSpec, GridPoint, run_experiment
-from .core import SolverConfig, Termination, _fmt, load_instance, save_instance
+from .core import (SolverConfig, Termination, _fmt, certificate,
+                   load_instance, save_instance)
 from .lemke import PivotLimit, RayTermination, lemke_solve
 from .merit import KINDS, MeritModel, merit_value
 from .problems import EXAMPLES, GeneratorSpec, generate, relative_error
@@ -80,7 +87,9 @@ def _add_solver_flags(p, with_s=True):
                    metavar="MAXITER", help="iteration cap")
 
 
-def _print_nonzeros(x):
+def _print_point(inst, x):
+    cert = certificate(x, inst.M @ x + inst.q, inst.q)
+    print(f"certificate: {cert:.6e}")
     nz = np.nonzero(x)[0]
     print(f"nonzeros:    {nz.size}")
     for i in nz:
@@ -92,7 +101,7 @@ def _print_report(inst, report):
     print(f"objective:   {report.objective:.6e}")
     print(f"residual:    {report.residual:.6e}")
     print(f"iterations:  {report.iterations}")
-    _print_nonzeros(report.x)
+    _print_point(inst, report.x)
     if inst.ground_truth is not None:
         err = relative_error(report.x, inst.ground_truth)
         print(f"rel_error:   {err:.6e}")
@@ -155,7 +164,7 @@ def _cmd_lemke(args):
     f2 = merit_value(MeritModel.phi_r(2), inst, x)
     print(f"pivots:      {pivots}")
     print(f"f2:          {f2:.6e}")
-    _print_nonzeros(x)
+    _print_point(inst, x)
     return 0
 
 

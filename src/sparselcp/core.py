@@ -155,7 +155,14 @@ class SolverConfig:
 
 
 class Termination(enum.Enum):
+    """Why a solve ended.  RESIDUAL_MET: the stationarity residual fell to
+    tol.  CERTIFIED: the point passes certificate() at 1e-12, a solution
+    of the LCP whatever its residual.  OBJECTIVE_STALLED: the merit
+    stopped falling at a point that is not certified.  ITERATION_CAP and
+    LINE_SEARCH_FAILED: the solve gave up."""
+
     RESIDUAL_MET = "residual_met"
+    CERTIFIED = "certified"
     OBJECTIVE_STALLED = "objective_stalled"
     ITERATION_CAP = "iteration_cap"
     LINE_SEARCH_FAILED = "line_search_failed"
@@ -166,7 +173,9 @@ class SolveReport:
     """Outcome of one solver run.
 
     support holds the working set that produced x, a sorted index array of
-    length s, so supp(x) is always contained in it.  f_trace records the objective at x^0, x^1, ...
+    length s, so supp(x) is always contained in it.  f_trace records the
+    objective at x^0, x^1, ...  termination says why the solve ended; only
+    RESIDUAL_MET and CERTIFIED claim that x solves the problem.
     """
 
     x: np.ndarray
@@ -203,6 +212,19 @@ def dense_solve(A, b):
     if norm_a == 0.0 or np.abs(np.diag(lu)).min() < _PIVOT_RTOL * norm_a:
         raise SingularError("pivot below threshold")
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+
+
+def certificate(x, y, q):
+    """Scaled complementarity violation of x with y = M x + q:
+
+        max(||x_-||, ||y_-||, ||x * y||) / max(1, ||q||),  all inf-norms.
+
+    It needs no ground truth and no merit, and is 0 exactly at a
+    solution of the LCP.  O(n)."""
+    violation = max(0.0, -float(x.min(initial=0.0)),
+                    -float(y.min(initial=0.0)),
+                    float(np.abs(x * y).max(initial=0.0)))
+    return violation / max(1.0, float(np.abs(q).max(initial=0.0)))
 
 
 def top_s_by_magnitude(z, s):

@@ -9,8 +9,21 @@ descent test, then backtracks along
 
     x(alpha) = x_T + alpha d_T on T,  0 off T,
 
-so every iterate keeps at most s nonzeros.  Halting combines a
-stationarity residual, an objective-stall test, and an iteration cap.
+so every iterate keeps at most s nonzeros.  Since x(alpha) is affine in
+alpha, so is y(alpha) = M x(alpha) + q: the line search forms its two
+n-vectors once, and each trial costs O(n).
+
+Each iteration's head tests, in order: the stationarity residual (unless
+the last step stalled), the certificate of core.certificate at 1e-12,
+the objective stall, and the iteration cap.  The first that holds ends
+the solve as RESIDUAL_MET, CERTIFIED, OBJECTIVE_STALLED or
+ITERATION_CAP.  Otherwise, once per iterate, a short block principal
+pivoting finish (_finish) tries to turn the current support into an
+exact solution of the LCP; when it certifies one that does not raise
+the merit, that point becomes the next iterate and the head ends the
+solve.  The certificate, not the residual, ends many solves at a
+solution: degenerate rows with y_i ~ 0 can keep the residual above
+tol there.
 
 The threshold step eta controls only the working-set selection (and the
 residual normalization), not the step length.  A fixed eta can be too
@@ -28,7 +41,8 @@ which grows as eta halves.  So a retry that reselects the same T reuses
 the Newton solve and reruns only the descent test, and a direction whose
 line search already failed there is not searched again: the retry goes
 straight to the next halving.  Each halving still adds 51 to the
-reported backtrack count, whether or not its search ran.
+reported backtrack count, whether or not its search ran.  A retry does
+not rerun the finish either: the point has not moved.
 """
 
 import logging
@@ -39,7 +53,7 @@ import numpy as np
 
 from . import merit as mer
 from .core import (SingularError, SolveReport, Termination, _check_finite,
-                   dense_solve, top_s_by_magnitude)
+                   certificate, dense_solve, top_s_by_magnitude)
 
 logger = logging.getLogger("sparselcp.nhtp")
 
@@ -51,6 +65,10 @@ _GAMMA_INACTIVE = 1e-10
 _OBJ_TOL = 1e-10
 # largest backtracking exponent tried per line search
 _MAX_BACKTRACKS = 50
+# certificate bound at or below which a point counts as a solution
+_CERT_TOL = 1e-12
+# block pivoting passes the finish takes before it gives up
+_FINISH_PASSES = 10
 
 
 @dataclass
@@ -155,7 +173,9 @@ def line_search(state, direction, model, inst, config):
     """Armijo backtracking along the support-restricted update.
 
     Tries alpha = beta^t for t = 0..50 against
-    f(x(alpha)) <= f(x) + sigma * alpha * <grad f(x), d>.  Returns
+    f(x(alpha)) <= f(x) + sigma * alpha * <grad f(x), d>.  The products
+    u = M[:, T] x_T + q and v = M[:, T] d_T are formed once, and each
+    trial takes y(alpha) = u + alpha v in O(n).  Returns
     (alpha, x_new, y_new, f_new, t) or None when every alpha fails.
     """
     x, g, f = state.x, state.grad, state.value
@@ -164,16 +184,71 @@ def line_search(state, direction, model, inst, config):
     cols = inst.columns(t_idx)
     xt = x[t_idx]
     dt = direction[t_idx]
+    u = cols @ xt + inst.q
+    v = cols @ dt
     alpha = 1.0
     for t in range(_MAX_BACKTRACKS + 1):
-        xt_new = xt + alpha * dt
-        y_new = cols @ xt_new + inst.q
         x_new = np.zeros_like(x)
-        x_new[t_idx] = xt_new
+        x_new[t_idx] = xt + alpha * dt
+        y_new = u + alpha * v
         f_new = mer.value_from_xy(model, x_new, y_new)
         if f_new <= f + config.sigma * alpha * slope:
             return alpha, x_new, y_new, f_new, t
         alpha *= config.beta
+    return None
+
+
+def _finish(inst, x, s):
+    """Block principal pivoting from F = supp(x_+): (x_f, y_f) with
+    y_f = M x_f + q, at most s nonzeros and a certificate of at most
+    1e-12, or None.
+
+    Each pass solves M_FF z = -q_F and sets x_f = z on F, 0 off it, and
+    y_f = M[:, F] z + q.  Every index with z_i < -tau in F, or y_i < -tau
+    off F, then swaps sides, tau = 1e-12 max(1, ||q||_inf): rounding
+    leaves the off-support y_i of a degenerate solution near -1e-13, not
+    at 0.  Once the number of such indices stops falling, only the
+    largest of them swaps (Murty's rule).  F never outgrows s: when too
+    many indices would enter, those with the most negative y_i do.  z is
+    never clipped.  Gives up when F is empty, when M_FF is singular,
+    when no index can swap, or after 10 passes.  With no swap this is
+    the hard-thresholding pursuit polish (Foucart, SIAM J. Numer. Anal.
+    2011); the swaps follow Judice & Pires (Comput. Oper. Res. 1994).
+    """
+    q = inst.q
+    tau = _CERT_TOL * max(1.0, float(np.abs(q).max()))
+    inside = x > 0.0
+    fewest = np.inf
+    for _ in range(_FINISH_PASSES):
+        F = np.flatnonzero(inside)
+        if F.size == 0:
+            return None
+        cols = inst.columns(F)
+        try:
+            z = dense_solve(cols[F], -q[F])
+        except SingularError:
+            return None
+        y = cols @ z + q
+        x_f = np.zeros_like(x)
+        x_f[F] = z
+        violation = -np.where(inside, x_f, y)
+        bad = np.flatnonzero(violation > tau)
+        if bad.size == 0:
+            return (x_f, y) if certificate(x_f, y, q) <= _CERT_TOL else None
+        if bad.size < fewest:
+            fewest = bad.size
+        else:
+            bad = bad[-1:]
+        leave = bad[inside[bad]]
+        enter = bad[~inside[bad]]
+        room = s - F.size + leave.size
+        if enter.size > room:
+            order = np.argsort(-violation[enter], kind="stable")
+            enter = enter[order[:room]]
+        if leave.size + enter.size == 0:
+            return None  # the next pass would repeat this one
+        inside[leave] = False
+        inside[enter] = True
     return None
 
 
@@ -189,8 +264,12 @@ def solve(inst, model, config, x0=None, callback=None):
 
     A failed line search halves eta and retries the iteration, under the
     rules the module docstring sets out.  The one selection and residual
-    at the head of each iteration serve every exit, tested as stall, then
-    residual, then iteration cap.
+    at the head of each iteration serve every exit, tested as residual
+    (skipped right after a stalled step), certificate, stall, then
+    iteration cap.  The finish runs at most once per iterate, before its
+    first Newton step; a certified point it returns is an iterate like
+    any other: f_trace and callback see it, and the report's support is
+    its top-s set.
     """
     n = inst.n
     s = config.s
@@ -219,52 +298,69 @@ def solve(inst, model, config, x0=None, callback=None):
                 n, s, eta, model.kind, f)
     backtracks = 0
     k = 0
+    finished = -1  # the last iterate the finish ran on
     state = None
     stalled = False
     while True:
         T = select_support(x, g, eta, s)
         res = residual(x, g, T, eta, s)
+        if not stalled and res <= config.tol:
+            termination = Termination.RESIDUAL_MET
+            break
+        if certificate(x, y, inst.q) <= _CERT_TOL:
+            termination = Termination.CERTIFIED
+            break
         if stalled:
             termination = Termination.OBJECTIVE_STALLED
-            break
-        if res <= config.tol:
-            termination = Termination.RESIDUAL_MET
             break
         if k >= config.max_iter:
             termination = Termination.ITERATION_CAP
             break
-        if state is None or not np.array_equal(T, state.support):
-            state = IterateState(x, y, T, prev_T, f, g, eta)
-        state.eta = eta
-        d = newton_direction(state, model, inst)
-        used_newton = d is not None
         step = None
-        if used_newton not in state.failed:
-            if d is None:
-                d = fallback_direction(state)
-            step = line_search(state, d, model, inst, config)
+        if finished < k:
+            finished = k
+            polished = _finish(inst, x, s)
+            if polished is not None:
+                f_f = mer.value_from_xy(model, *polished)
+                if f_f <= f:
+                    step = (*polished, f_f, top_s_by_magnitude(polished[0], s))
+                    logger.debug("iter %d: finish certified f=%.9e",
+                                 k + 1, f_f)
         if step is None:
-            state.failed.add(used_newton)
-            backtracks += _MAX_BACKTRACKS + 1
-            if eta <= eta_floor:
-                termination = Termination.LINE_SEARCH_FAILED
-                break
-            eta *= 0.5
-            logger.debug("iter %d: line search exhausted, eta -> %g", k, eta)
-            continue
-        alpha, x_new, y_new, f_new, bt = step
-        backtracks += bt
+            if state is None or not np.array_equal(T, state.support):
+                state = IterateState(x, y, T, prev_T, f, g, eta)
+            state.eta = eta
+            d = newton_direction(state, model, inst)
+            used_newton = d is not None
+            searched = None
+            if used_newton not in state.failed:
+                if d is None:
+                    d = fallback_direction(state)
+                searched = line_search(state, d, model, inst, config)
+            if searched is None:
+                state.failed.add(used_newton)
+                backtracks += _MAX_BACKTRACKS + 1
+                if eta <= eta_floor:
+                    termination = Termination.LINE_SEARCH_FAILED
+                    break
+                eta *= 0.5
+                logger.debug("iter %d: line search exhausted, eta -> %g",
+                             k, eta)
+                continue
+            alpha, x_new, y_new, f_new, bt = searched
+            backtracks += bt
+            step = x_new, y_new, f_new, T
+            logger.debug("iter %d: f=%.9e res=%.3e alpha=%g newton=%s bt=%d",
+                         k + 1, f_new, res, alpha, used_newton, bt)
+        x_new, y_new, f_new, prev_T = step
         stalled = abs(f_new - f) < _OBJ_TOL * (1.0 + abs(f))
         x, y, f = x_new, y_new, f_new
-        prev_T = T
         state = None
         k += 1
         trace.append(f)
         if callback is not None:
             callback(k, x, f)
         g = mer.gradient_from_xy(model, inst.M, x, y)
-        logger.debug("iter %d: f=%.9e res=%.3e alpha=%g newton=%s bt=%d",
-                     k, f, res, alpha, used_newton, bt)
     wall = time.perf_counter() - t_start
     logger.info("solve end: %s iters=%d f=%.6e res=%.3e time=%.3fs",
                 termination.value, k, f, res, wall)

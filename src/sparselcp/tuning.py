@@ -1,8 +1,9 @@
 """Sparsity-level selection for the pursuit solver.
 
 Two strategies: geometric growth (start tiny, multiply the budget each
-round until the merit value certifies a solution) and Lemke seeding (run
-the pivoting baseline once and reuse its support size as the budget).
+round until a round is certified or its merit value is tiny) and Lemke
+seeding (run the pivoting baseline once and reuse its support size as
+the budget).
 """
 
 import dataclasses
@@ -24,7 +25,8 @@ class TuningConfig:
 
     s0 : starting budget; None picks ceil(n / 5000), minimum 1
     rho : finite growth factor > 1; None picks max(2, log10 n)
-    eps : accept a round once the merit drops below this (finite, > 0)
+    eps : accept a round once the merit drops below this (finite, > 0);
+          a CERTIFIED round is accepted whatever its merit
     max_rounds : hard cap on solver invocations
     """
 
@@ -58,9 +60,10 @@ def nhtpt_solve(inst, model, config, tuning=None):
     """Run the pursuit with a geometrically growing sparsity budget.
 
     Each round solves from x0 = 0 with the current budget s, accepts as
-    soon as the merit value falls below tuning.eps, and otherwise grows
-    s to ceil(rho * s), capped at n.  Returns (report, rounds) where
-    rounds counts solver invocations; if no round is accepted the
+    soon as the round ends CERTIFIED or its merit value falls below
+    tuning.eps, and otherwise grows s to ceil(rho * s), capped at n.
+    Returns (report, rounds) where rounds counts solver invocations; an
+    accepted report keeps its termination.  If no round is accepted the
     best-objective report is returned flagged ITERATION_CAP, unless its
     line search failed: that report keeps LINE_SEARCH_FAILED.
     """
@@ -78,7 +81,8 @@ def nhtpt_solve(inst, model, config, tuning=None):
                     report.objective)
         if best is None or report.objective < best.objective:
             best = report
-        if report.objective < tuning.eps:
+        if (report.termination is Termination.CERTIFIED
+                or report.objective < tuning.eps):
             return report, rounds
         if s >= n:
             break  # budget saturated; further rounds would repeat

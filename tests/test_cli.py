@@ -10,7 +10,8 @@ import pytest
 
 from sparselcp import bench
 from sparselcp.cli import main
-from sparselcp.core import LcpInstance, load_instance, save_instance
+from sparselcp.core import (LcpInstance, certificate, load_instance,
+                            save_instance)
 
 
 def write_instance(tmp_path, M, q, name="inst.txt", **kw):
@@ -59,6 +60,40 @@ def test_zero_ground_truth_error(tmp_path, capsys, argv, q, err):
                           ground_truth=np.zeros(2))
     assert main([argv[0], "--instance", path, *argv[1:]]) == 0
     assert f"rel_error:   {err}\n" in capsys.readouterr().out
+
+
+def printed_point(out, n):
+    """The x a report prints and the value of its certificate line."""
+    x = np.zeros(n)
+    cert = None
+    for line in out.splitlines():
+        if line.startswith("x["):
+            idx, val = line[2:].split("] = ")
+            x[int(idx) - 1] = float(val)
+        elif line.startswith("certificate: "):
+            cert = line[len("certificate: "):]
+    return x, cert
+
+
+@pytest.mark.parametrize("argv, termination", [
+    (("solve", "--s", "2"), "residual_met"),
+    (("solve", "--s", "2", "--tol", "0"), "certified"),
+    (("tune", "--tol", "0"), "certified"),
+    (("lemke",), None),
+])
+def test_reports_print_the_certificate(tmp_path, capsys, argv, termination):
+    # --tol 0 leaves the residual stop out of reach, so the certificate
+    # ends the solve; that is a success and exits 0
+    path = gen_planted(tmp_path)
+    inst = load_instance(path)
+    capsys.readouterr()
+    assert main([argv[0], "--instance", path, *argv[1:]]) == 0
+    out = capsys.readouterr().out
+    if termination is not None:
+        assert f"termination: {termination}\n" in out
+    x, cert = printed_point(out, inst.n)
+    assert cert == f"{certificate(x, inst.M @ x + inst.q, inst.q):.6e}"
+    assert float(cert) <= 1e-12
 
 
 def test_solve_requires_budget(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 import sparselcp
 from sparselcp.core import (LcpInstance, SingularError, SolverConfig,
-                            Termination, dense_solve, load_instance,
-                            save_instance, top_s_by_magnitude)
+                            Termination, certificate, dense_solve,
+                            load_instance, save_instance, top_s_by_magnitude)
 from sparselcp.problems import GeneratorSpec, generate
 
 
@@ -210,9 +210,24 @@ def test_eta_default_switches_at_dimension_1000():
 
 def test_termination_values_are_stable_strings():
     assert Termination.RESIDUAL_MET.value == "residual_met"
+    assert Termination.CERTIFIED.value == "certified"
     assert Termination.OBJECTIVE_STALLED.value == "objective_stalled"
     assert Termination.ITERATION_CAP.value == "iteration_cap"
     assert Termination.LINE_SEARCH_FAILED.value == "line_search_failed"
+
+
+def test_certificate_worked_example():
+    # x_- = 0.5, y_- = 3, x * y = (0, -0.5, 0): the worst is 3, and
+    # ||q||_inf = 4 scales it to 0.75
+    x = np.array([2.0, -0.5, 0.0])
+    y = np.array([0.0, 1.0, -3.0])
+    assert certificate(x, y, np.array([-4.0, 1.0, 2.0])) == 0.75
+    # a small q scales by 1, not by ||q||
+    assert certificate(x, y, np.array([0.5, 0.0, 0.0])) == 3.0
+    # a solution scores exactly 0, never -0
+    z = np.array([0.0, -0.0, 1.0])
+    cert = certificate(z, np.array([2.0, 0.0, -0.0]), np.zeros(3))
+    assert cert == 0.0 and np.copysign(1.0, cert) == 1.0
 
 
 def test_instance_file_round_trip_is_bit_exact(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from dense_merit import dense_gradient, dense_hessian
 from sparselcp import nhtp
 from sparselcp.core import (LcpInstance, SolverConfig, Termination,
-                            top_s_by_magnitude)
+                            certificate, top_s_by_magnitude)
 from sparselcp.merit import MeritModel, merit_gradient, merit_value
 from sparselcp.nhtp import (IterateState, fallback_direction, line_search,
                             newton_direction, residual, select_support, solve)
@@ -217,7 +217,9 @@ def test_working_sets_are_sorted_index_arrays_of_size_s():
 def test_eta_retries_do_not_repeat_work(monkeypatch):
     # this solve halves eta 18 times, mostly reselecting the working set
     # at the same point; none of those retries may rebuild a T x T
-    # Hessian or rerun a line search on a direction that already failed
+    # Hessian or rerun a line search on a direction that already failed.
+    # The budget is one below the planted 5, so no point the finish
+    # builds certifies and the retries run
     searched, built, selected = [], [], []
     real_search, real_hessian = nhtp.line_search, nhtp.mer.merit_hessian
     real_select = nhtp.select_support
@@ -241,14 +243,96 @@ def test_eta_retries_do_not_repeat_work(monkeypatch):
     monkeypatch.setattr(nhtp.mer, "merit_hessian", hessian)
     monkeypatch.setattr(nhtp, "select_support", select)
     inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
-    rep = solve(inst, PHI2, SolverConfig(s=5))
+    rep = solve(inst, PHI2, SolverConfig(s=4))
     assert len(set(selected)) < len(selected)  # same T at the same x
     assert len(set(searched)) == len(searched)
     assert len(set(built)) == len(built)
-    assert rep.iterations == 6
+    assert rep.iterations == 7
     assert rep.termination is Termination.RESIDUAL_MET
-    assert rep.backtracks_total == 922  # 18 halvings of 51, plus 4
-    assert rep.support.tolist() == [44, 150, 203, 226, 408]
+    assert rep.backtracks_total == 923  # 18 halvings of 51, plus 5
+    assert rep.support.tolist() == [150, 203, 226, 408]
+
+
+def test_finish_runs_once_per_iterate(monkeypatch):
+    # the 18 eta retries of this solve stay at one point each time; the
+    # finish must not rerun on any of them
+    calls = []
+    real = nhtp._finish
+
+    def finish(inst, x, s):
+        calls.append(x.tobytes())
+        return real(inst, x, s)
+
+    monkeypatch.setattr(nhtp, "_finish", finish)
+    inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
+    rep = solve(inst, PHI2, SolverConfig(s=4))
+    assert rep.backtracks_total >= 18 * 51
+    assert len(calls) <= rep.iterations + 1
+    assert len(set(calls)) == len(calls)
+
+
+def test_finish_certifies_through_rounding_level_negatives():
+    # from one of the two planted indices, one pass brings in the other.
+    # At the solution 43 off-support y_i come out negative by about 1e-15,
+    # so only a tolerance on y lets the finish certify it
+    inst = generate(GeneratorSpec("sdp_gaussian", 200, seed=0))
+    gt = inst.ground_truth
+    planted = np.flatnonzero(gt)
+    x = gt.copy()
+    x[planted[1]] = 0.0
+    x_f, y_f = nhtp._finish(inst, x, 2)
+    assert np.flatnonzero(x_f).tolist() == planted.tolist()
+    assert np.allclose(x_f, gt, rtol=0.0, atol=1e-12)
+    assert np.allclose(y_f, inst.M @ x_f + inst.q, rtol=0.0, atol=1e-12)
+    off = gt == 0.0
+    assert np.count_nonzero(y_f[off] < 0.0) == 43
+    assert y_f[off].min() >= -1e-12 * np.abs(inst.q).max()
+    assert certificate(x_f, y_f, inst.q) <= 1e-12
+    # no room for the second index, and nothing to start from
+    assert nhtp._finish(inst, x, 1) is None
+    assert nhtp._finish(inst, np.zeros(inst.n), 2) is None
+
+
+def test_finished_point_is_an_iterate(monkeypatch):
+    # the finish certifies x^2 here, where the pursuit alone took 8
+    # iterations: that point reaches callback and f_trace as an s-sparse
+    # iterate that does not raise f, and the report is built from it
+    polished = []
+    real = nhtp._finish
+
+    def finish(*args):
+        out = real(*args)
+        if out is not None:
+            polished.append(out[0])
+        return out
+
+    monkeypatch.setattr(nhtp, "_finish", finish)
+    seen = []
+    inst = generate(GeneratorSpec("sdp_gaussian", 40, s_star=2, m=20,
+                                  seed=9))
+    rep = solve(inst, PHI2, SolverConfig(s=2),
+                callback=lambda k, x, f: seen.append((k, x.copy(), f)))
+    assert len(polished) == 1
+    assert [k for k, _, _ in seen] == [0, 1, 2] and rep.iterations == 2
+    assert np.array_equal(seen[-1][1], polished[0])
+    assert np.array_equal(rep.x, polished[0])
+    assert [f for _, _, f in seen] == rep.f_trace
+    assert all(np.count_nonzero(x) <= 2 for _, x, _ in seen)
+    assert all(b <= a for a, b in zip(rep.f_trace, rep.f_trace[1:]))
+    assert rep.support.tolist() == np.flatnonzero(inst.ground_truth).tolist()
+    assert rep.termination is Termination.RESIDUAL_MET
+
+
+def test_finish_recovers_the_stall_prone_family():
+    # sdp_uniform at s = s*: without the finish, 5 of these 10 solves
+    # stalled at f = 2.4e4 to 3.3e5, far from the planted solution
+    for seed in range(10):
+        inst = generate(GeneratorSpec("sdp_uniform", 1000, s_star=10,
+                                      seed=seed))
+        rep = solve(inst, PHI2, SolverConfig(s=10))
+        assert rep.termination in (Termination.CERTIFIED,
+                                   Termination.RESIDUAL_MET), seed
+        assert is_success(rep.x, inst.ground_truth), seed
 
 
 def test_row_reads_leave_the_solve_bit_identical(monkeypatch):
@@ -351,11 +435,14 @@ def test_explicit_eta_is_honored():
     inst = generate(spec)
     rep = solve(inst, PHI2, SolverConfig(s=1, eta=2.0))
     assert np.linalg.norm(rep.x - inst.ground_truth) <= 1e-8
-    planted = generate(GeneratorSpec("sdp_gaussian", 40, s_star=2, m=20,
-                                     seed=9))
-    default = solve(planted, PHI2, SolverConfig(s=2))
-    custom = solve(planted, PHI2, SolverConfig(s=2, eta=2.0))
-    assert default.f_trace != custom.f_trace
+    # on this draw no iterate's finish certifies, and the two paths part
+    # at x^2: from zero, the first selection does not depend on eta
+    planted = generate(GeneratorSpec("sdp_gaussian", 40, s_star=4, m=20,
+                                     seed=1))
+    default = solve(planted, PHI2, SolverConfig(s=4))
+    custom = solve(planted, PHI2, SolverConfig(s=4, eta=2.0))
+    assert default.f_trace[:2] == custom.f_trace[:2]
+    assert default.f_trace[2] != custom.f_trace[2]
 
 
 def test_solver_is_deterministic():

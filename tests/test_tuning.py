@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sparselcp.core import LcpInstance, SolverConfig, Termination
+from sparselcp import tuning
+from sparselcp.core import LcpInstance, SolveReport, SolverConfig, Termination
 from sparselcp.merit import MeritModel
 from sparselcp.nhtp import solve
 from sparselcp.problems import GeneratorSpec, generate, is_success
@@ -97,6 +98,28 @@ def test_failed_line_search_keeps_its_termination():
     assert report.termination is Termination.LINE_SEARCH_FAILED
 
 
+def test_certified_round_is_accepted_whatever_its_merit(monkeypatch):
+    # a certified point is a solution even when its merit sits above eps
+    # (phi_r of a large solution on degenerate rows): the first such
+    # round is accepted and keeps its termination
+    calls = []
+
+    def certified(inst, model, config):
+        calls.append(config.s)
+        return SolveReport(x=np.zeros(inst.n), support=np.arange(config.s),
+                           objective=1.0, residual=1.0, iterations=1,
+                           backtracks_total=0, wall_time=0.0,
+                           termination=Termination.CERTIFIED)
+
+    monkeypatch.setattr(tuning.nhtp, "solve", certified)
+    inst = LcpInstance(np.eye(4), -np.ones(4))
+    report, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1),
+                                 TuningConfig(s0=1, rho=2))
+    assert rounds == 1 and calls == [1]
+    assert report.termination is Termination.CERTIFIED
+    assert report.objective == 1.0
+
+
 def test_max_rounds_truncates_schedule():
     inst = generate(GeneratorSpec("sdp_gaussian", 40, s_star=4, m=20, seed=8))
     report, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1),
@@ -113,7 +136,7 @@ def test_solves_family_without_ground_truth():
     inst = generate(GeneratorSpec("sdp_uniform_nox", 60, s_star=5, seed=3))
     report, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1))
     assert report.objective < 1e-8
-    assert rounds == 5  # budgets 1, 2, 4, 8, 16 on this draw
+    assert rounds == 2  # budgets 1, 2: the finish certifies at s = 2
     y = inst.M @ report.x + inst.q
     assert report.x.min() >= -1e-9 and y.min() >= -1e-9
 
