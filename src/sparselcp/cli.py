@@ -10,7 +10,8 @@ bench   run an experiment sweep and write CSV output
 
 solve, tune and lemke print the point they found and its certificate:
 max(||x_-||, ||y_-||, ||x * y||) / max(1, ||q||) in inf-norms, with
-y = M x + q computed from the printed x (core.certificate).  It needs no
+y = M x + q computed from the printed x (core.certificate), which drops
+the entries core.support_mask reads as round-off.  It needs no
 ground truth; a solve ends `certified` when its own certificate is at
 most 1e-12.
 
@@ -31,7 +32,7 @@ import numpy as np
 from . import nhtp
 from .bench import EXPERIMENTS, ExperimentSpec, GridPoint, run_experiment
 from .core import (SolverConfig, Termination, _fmt, certificate,
-                   load_instance, save_instance)
+                   load_instance, save_instance, support_mask)
 from .lemke import PivotLimit, RayTermination, lemke_solve
 from .merit import KINDS, MeritModel, merit_value
 from .problems import EXAMPLES, GeneratorSpec, generate, relative_error
@@ -69,7 +70,7 @@ def _given(args, *names):
             if getattr(args, name) is not None}
 
 
-_SOLVER_FLAGS = ("eta", "sigma", "beta", "tol", "max_iter")
+_SOLVER_FLAGS = ("eta", "tol", "max_iter")
 
 
 def _add_solver_flags(p, with_s=True):
@@ -80,20 +81,21 @@ def _add_solver_flags(p, with_s=True):
     if with_s:
         p.add_argument("--s", type=int, help="sparsity budget")
     p.add_argument("--eta", type=float, help="threshold step")
-    p.add_argument("--sigma", type=float, help="slope fraction")
-    p.add_argument("--beta", type=float, help="backtracking shrink factor")
     p.add_argument("--tol", type=float, help="stationarity tolerance")
     p.add_argument("--maxiter", type=int, dest="max_iter",
                    metavar="MAXITER", help="iteration cap")
 
 
 def _print_point(inst, x):
+    """Print x less its round-off entries, and its certificate; returns it."""
+    x = np.where(support_mask(x), x, 0.0)
     cert = certificate(x, inst.M @ x + inst.q, inst.q)
     print(f"certificate: {cert:.6e}")
-    nz = np.nonzero(x)[0]
+    nz = np.flatnonzero(x)
     print(f"nonzeros:    {nz.size}")
     for i in nz:
         print(f"x[{i + 1}] = {_fmt(x[i])}")
+    return x
 
 
 def _print_report(inst, report):
@@ -101,9 +103,9 @@ def _print_report(inst, report):
     print(f"objective:   {report.objective:.6e}")
     print(f"residual:    {report.residual:.6e}")
     print(f"iterations:  {report.iterations}")
-    _print_point(inst, report.x)
+    x = _print_point(inst, report.x)
     if inst.ground_truth is not None:
-        err = relative_error(report.x, inst.ground_truth)
+        err = relative_error(x, inst.ground_truth)
         print(f"rel_error:   {err:.6e}")
 
 
@@ -160,7 +162,7 @@ def _cmd_tune(args):
 
 def _cmd_lemke(args):
     inst = load_instance(args.instance)
-    x, pivots = lemke_solve(inst, **_given(args, "pivot_tol", "max_pivots"))
+    x, pivots = lemke_solve(inst, **_given(args, "max_pivots"))
     f2 = merit_value(MeritModel.phi_r(2), inst, x)
     print(f"pivots:      {pivots}")
     print(f"f2:          {f2:.6e}")
@@ -239,7 +241,6 @@ def build_parser():
 
     p = sub.add_parser("lemke", help="complementary pivoting baseline")
     p.add_argument("--instance", required=True)
-    p.add_argument("--pivot-tol", type=float)
     p.add_argument("--max-pivots", type=int)
     p.set_defaults(fn=_cmd_lemke)
 

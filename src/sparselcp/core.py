@@ -118,19 +118,16 @@ class SolverConfig:
 
     s : sparsity budget (1 <= s <= n, checked at solve time)
     eta : thresholding step, finite; None picks 5 when n <= 1000 else 1
-    sigma : Armijo slope fraction, in (0, 0.5)
-    beta : backtracking shrink factor, in (0, 1)
     tol : halting threshold on the stationarity residual, finite
     max_iter : outer iteration cap
 
-    The descent-test curvature floors, the objective-stall threshold and
+    The Armijo slope fraction (1e-4) and backtracking shrink factor (0.5),
+    the descent-test curvature floors, the objective-stall threshold and
     the backtracking budget are fixed constants of the nhtp module.
     """
 
     s: int
     eta: float = None
-    sigma: float = 1e-4
-    beta: float = 0.5
     tol: float = 1e-10
     max_iter: int = 2000
 
@@ -139,10 +136,6 @@ class SolverConfig:
             raise ValueError("s must be at least 1")
         if self.eta is not None and not 0 < self.eta < np.inf:
             raise ValueError("eta must be positive and finite")
-        if not 0 < self.sigma < 0.5:
-            raise ValueError("sigma must lie in (0, 0.5)")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must lie in (0, 1)")
         if not 0 <= self.tol < np.inf:
             raise ValueError("tol must be nonnegative and finite")
         if self.max_iter < 1:

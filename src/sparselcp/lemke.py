@@ -27,6 +27,9 @@ from .core import support_mask
 
 logger = logging.getLogger("sparselcp.lemke")
 
+# ratio-test floor on the driving column, and relative width of a tie
+_PIVOT_TOL = 1e-9
+
 
 class RayTermination(Exception):
     """The driving column had no positive entry: a secondary ray."""
@@ -124,22 +127,19 @@ def _lexmin_row(body, basis, d, tied):
     return tied[0]
 
 
-def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None):
+def lemke_solve(inst, max_pivots=None):
     """Solve the LCP (M, q); returns (x, pivots).
 
-    pivot_tol guards ratio-test denominators and sets the width of a
-    ratio tie: rows whose ratio is within pivot_tol * max(1, |r_min|) of
-    the minimum ratio r_min are tied and go to the lexicographic rule, so
-    pivot_tol=0 means exact ties only.  max_pivots defaults to 10n.
-    Raises ValueError for a negative or non-finite pivot_tol or for
-    max_pivots < 1, RayTermination when the path escapes to infinity and
-    PivotLimit when the pivot budget runs out.
+    Only driving-column entries above 1e-9 enter the ratio test, and rows
+    whose ratio is within 1e-9 * max(1, |r_min|) of the minimum ratio
+    r_min are tied and go to the lexicographic rule.  max_pivots defaults
+    to 10n.  Raises ValueError for max_pivots < 1, RayTermination when
+    the path escapes to infinity and PivotLimit when the pivot budget
+    runs out.
     """
     n = inst.n
     if max_pivots is None:
         max_pivots = 10 * n
-    if not (np.isfinite(pivot_tol) and pivot_tol >= 0):
-        raise ValueError("pivot_tol must be finite and nonnegative")
     if max_pivots < 1:
         raise ValueError("max_pivots must be at least 1")
     q = inst.q
@@ -158,13 +158,14 @@ def lemke_solve(inst, pivot_tol=1e-9, max_pivots=None):
         if pivots >= max_pivots:
             raise PivotLimit(f"no termination within {max_pivots} pivots")
         col = tab.body[:, driving]
-        elig = col > pivot_tol
+        elig = col > _PIVOT_TOL
         if not np.any(elig):
             raise RayTermination("driving column has no blocking variable")
         ratios = np.full(n, np.inf)
         np.divide(tab.body[:, -1], col, out=ratios, where=elig)
         rmin = ratios.min()
-        tied = np.flatnonzero(ratios <= rmin + pivot_tol * max(1.0, abs(rmin)))
+        width = _PIVOT_TOL * max(1.0, abs(rmin))
+        tied = np.flatnonzero(ratios <= rmin + width)
         row = int(_lexmin_row(tab.body, tab.basis, col, tied))
         leaving = tab.pivot(row, driving)
         pivots += 1

@@ -63,6 +63,9 @@ _GAMMA_ACTIVE = 1e-4
 _GAMMA_INACTIVE = 1e-10
 # relative objective change below which the solve reports a stall
 _OBJ_TOL = 1e-10
+# Armijo slope fraction and backtracking shrink factor of the line search
+_SIGMA = 1e-4
+_BETA = 0.5
 # largest backtracking exponent tried per line search
 _MAX_BACKTRACKS = 50
 # certificate bound at or below which a point counts as a solution
@@ -77,12 +80,10 @@ class IterateState:
 
     support is the current selection T_k and prev_support the set T_{k-1}
     whose coordinates may still be nonzero in x, both sorted index arrays.
-    eta is the threshold step in effect for this iterate.
-
-    The rest is what is known at (x, support) whatever eta is: newton
-    holds the restricted Newton solve once newton_direction has run it,
-    and failed the directions whose line search failed here (True for
-    the Newton direction, False for the fallback).
+    Everything here is fixed at (x, support), whatever the threshold
+    step: newton holds the restricted Newton solve once newton_direction
+    has run it, and failed the directions whose line search failed here
+    (True for the Newton direction, False for the fallback).
     """
 
     x: np.ndarray
@@ -91,7 +92,6 @@ class IterateState:
     prev_support: np.ndarray
     value: float
     grad: np.ndarray
-    eta: float
     newton: tuple = None
     failed: set = field(default_factory=set)
 
@@ -120,16 +120,17 @@ def residual(x, grad, T, eta, s):
     return first + max(slack, 0.0)
 
 
-def newton_direction(state, model, inst):
+def newton_direction(state, model, inst, eta):
     """Restricted Newton direction, or None when the fallback must run.
 
     Solves H[T,T] d_T = H[T,J] x_J - grad_T with J the coordinates being
     dropped from the previous working set, and sets d = -x off T.  Returns
     None if the system is singular or d fails the descent margin test
         <grad_T, d_T> <= -gamma ||d||^2 + ||x_offT||^2 / (4 eta),
-    with gamma = 1e-10 when x vanishes off T and 1e-4 otherwise.  Only
-    the test reads eta, so the solve is kept in state.newton and a later
-    call on the same state with a smaller eta reruns the test alone.
+    with gamma = 1e-10 when x vanishes off T and 1e-4 otherwise, and eta
+    the threshold step in effect.  Only the test reads eta, so the solve
+    is kept in state.newton and a later call on the same state with a
+    smaller eta reruns the test alone.
     """
     if state.newton is None:
         state.newton = _newton_solve(state, model, inst)
@@ -137,7 +138,7 @@ def newton_direction(state, model, inst):
     if d is None:
         return None
     gamma = _GAMMA_INACTIVE if off_sq == 0.0 else _GAMMA_ACTIVE
-    if slope <= -gamma * d_sq + off_sq / (4.0 * state.eta):
+    if slope <= -gamma * d_sq + off_sq / (4.0 * eta):
         return d
     return None
 
@@ -169,11 +170,11 @@ def fallback_direction(state):
     return d
 
 
-def line_search(state, direction, model, inst, config):
+def line_search(state, direction, model, inst):
     """Armijo backtracking along the support-restricted update.
 
-    Tries alpha = beta^t for t = 0..50 against
-    f(x(alpha)) <= f(x) + sigma * alpha * <grad f(x), d>.  The products
+    Tries alpha = 0.5^t for t = 0..50 against
+    f(x(alpha)) <= f(x) + 1e-4 * alpha * <grad f(x), d>.  The products
     u = M[:, T] x_T + q and v = M[:, T] d_T are formed once, and each
     trial takes y(alpha) = u + alpha v in O(n).  Returns
     (alpha, x_new, y_new, f_new, t) or None when every alpha fails.
@@ -192,9 +193,9 @@ def line_search(state, direction, model, inst, config):
         x_new[t_idx] = xt + alpha * dt
         y_new = u + alpha * v
         f_new = mer.value_from_xy(model, x_new, y_new)
-        if f_new <= f + config.sigma * alpha * slope:
+        if f_new <= f + _SIGMA * alpha * slope:
             return alpha, x_new, y_new, f_new, t
-        alpha *= config.beta
+        alpha *= _BETA
     return None
 
 
@@ -298,8 +299,7 @@ def solve(inst, model, config, x0=None, callback=None):
                 n, s, eta, model.kind, f)
     backtracks = 0
     k = 0
-    finished = -1  # the last iterate the finish ran on
-    state = None
+    state = None  # None exactly on the first pass at each iterate
     stalled = False
     while True:
         T = select_support(x, g, eta, s)
@@ -317,8 +317,7 @@ def solve(inst, model, config, x0=None, callback=None):
             termination = Termination.ITERATION_CAP
             break
         step = None
-        if finished < k:
-            finished = k
+        if state is None:
             polished = _finish(inst, x, s)
             if polished is not None:
                 f_f = mer.value_from_xy(model, *polished)
@@ -328,15 +327,14 @@ def solve(inst, model, config, x0=None, callback=None):
                                  k + 1, f_f)
         if step is None:
             if state is None or not np.array_equal(T, state.support):
-                state = IterateState(x, y, T, prev_T, f, g, eta)
-            state.eta = eta
-            d = newton_direction(state, model, inst)
+                state = IterateState(x, y, T, prev_T, f, g)
+            d = newton_direction(state, model, inst, eta)
             used_newton = d is not None
             searched = None
             if used_newton not in state.failed:
                 if d is None:
                     d = fallback_direction(state)
-                searched = line_search(state, d, model, inst, config)
+                searched = line_search(state, d, model, inst)
             if searched is None:
                 state.failed.add(used_newton)
                 backtracks += _MAX_BACKTRACKS + 1

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: subcommands and exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparselcp import bench
-from sparselcp.cli import main
-from sparselcp.core import (LcpInstance, certificate, load_instance,
-                            save_instance)
+from sparselcp import bench, cli
+from sparselcp.cli import build_parser, main
+from sparselcp.core import (LcpInstance, SolverConfig, certificate,
+                            load_instance, save_instance)
 
 
 def write_instance(tmp_path, M, q, name="inst.txt", **kw):
@@ -94,6 +95,17 @@ def test_reports_print_the_certificate(tmp_path, capsys, argv, termination):
     x, cert = printed_point(out, inst.n)
     assert cert == f"{certificate(x, inst.M @ x + inst.q, inst.q):.6e}"
     assert float(cert) <= 1e-12
+
+
+def test_solver_flags_are_the_config_fields():
+    # a field removed without its flag would fail only once a user passed
+    # the flag: SolverConfig gets an unknown keyword, and the TypeError
+    # escapes main
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert sorted(cli._SOLVER_FLAGS) == sorted(set(fields) - {"s"})
+    for cmd in ("solve", "tune"):
+        args = build_parser().parse_args([cmd, "--instance", "unread.txt"])
+        assert set(cli._SOLVER_FLAGS) <= set(vars(args))
 
 
 def test_solve_requires_budget(tmp_path, capsys):
@@ -180,16 +192,22 @@ def test_lemke_subcommand_and_ray_exit(tmp_path, capsys):
     assert "ray termination" in capsys.readouterr().err
 
 
-def test_lemke_reports_only_the_true_support(tmp_path, capsys):
-    # the pivoting path crosses degenerate bases; their round-off is not
+@pytest.mark.parametrize("argv, seed", [
+    (("lemke",), 4),
+    (("tune",), 0),
+    (("solve", "--s", "4"), 0),
+])
+def test_reports_print_only_the_true_support(tmp_path, capsys, argv, seed):
+    # the pivoting path crosses degenerate bases and the pursuit leaves
+    # entries near 1e-17 on its working set; that round-off is not
     # printed as nonzeros, only the two planted entries are
     path = str(tmp_path / "planted.txt")
     assert main(["gen", "--example", "sdp_gaussian", "--n", "200",
-                 "--seed", "4", "--out", path]) == 0
+                 "--seed", str(seed), "--out", path]) == 0
     planted = np.flatnonzero(load_instance(path).ground_truth)
     assert planted.size == 2
     capsys.readouterr()
-    assert main(["lemke", "--instance", path]) == 0
+    assert main([argv[0], "--instance", path, *argv[1:]]) == 0
     out = capsys.readouterr().out
     assert "nonzeros:    2\n" in out
     printed = [int(line[2:line.index("]")]) - 1
@@ -205,11 +223,9 @@ def test_lemke_pivot_limit_exit(tmp_path, capsys):
 
 def test_lemke_bad_arguments_are_usage_errors(tmp_path, capsys):
     path = write_instance(tmp_path, np.eye(2), [-1.0, -2.0])
-    for flag, value in (("--pivot-tol", "-1"), ("--pivot-tol", "nan"),
-                        ("--max-pivots", "0")):
-        assert main(["lemke", "--instance", path, flag, value]) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "pivot limit" not in err
+    assert main(["lemke", "--instance", path, "--max-pivots", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "pivot limit" not in err
 
 
 def test_log_levels(tmp_path):

@@ -16,21 +16,21 @@ from sparselcp.tuning import TuningConfig, nhtpt_solve
 PHI2 = MeritModel.phi_r(2)
 
 
-def one_dim_state(M_val, q_val, x_val, eta=5.0, s=1):
+def one_dim_state(M_val, q_val, x_val, s=1):
     inst = LcpInstance(np.array([[M_val]]), np.array([q_val]))
     x = np.array([float(x_val)])
     y = inst.M @ x + inst.q
     T = np.arange(s)
     return inst, IterateState(x=x, y=y, support=T, prev_support=T,
                               value=merit_value(PHI2, inst, x),
-                              grad=merit_gradient(PHI2, inst, x), eta=eta)
+                              grad=merit_gradient(PHI2, inst, x))
 
 
 def test_newton_direction_worked_example():
     # M = [[2]], q = [-3], x = 2: gradient 10, Hessian 33, no dropped
     # coordinates, so the direction solves 33 d = -10
     inst, state = one_dim_state(2.0, -3.0, 2.0)
-    d = newton_direction(state, PHI2, inst)
+    d = newton_direction(state, PHI2, inst, 5.0)
     assert d is not None
     assert d[0] == pytest.approx(-10.0 / 33.0, rel=1e-14)
 
@@ -38,7 +38,7 @@ def test_newton_direction_worked_example():
 def test_residual_worked_example():
     # full support (s = n): residual is just the gradient norm
     _, state = one_dim_state(2.0, -3.0, 2.0)
-    assert residual(state.x, state.grad, state.support, state.eta, 1) == 10.0
+    assert residual(state.x, state.grad, state.support, 5.0, 1) == 10.0
 
 
 def test_residual_off_support_charge():
@@ -62,7 +62,7 @@ def test_fallback_direction_shape():
     inst = LcpInstance(np.eye(2), np.zeros(2))
     state = IterateState(x=np.array([2.0, 1.0]), y=np.zeros(2),
                          support=np.array([0]), prev_support=np.array([0, 1]),
-                         value=0.0, grad=np.array([10.0, 7.0]), eta=5.0)
+                         value=0.0, grad=np.array([10.0, 7.0]))
     d = fallback_direction(state)
     assert d.tolist() == [-10.0, -1.0]
 
@@ -77,14 +77,21 @@ def test_line_search_accepts_descent_and_rejects_ascent():
     assert f == 0.5 and g[0] == 2.0
     T = np.array([0])
     state = IterateState(x=x, y=inst.M @ x + inst.q, support=T,
-                         prev_support=T, value=f, grad=g, eta=5.0)
-    cfg = SolverConfig(s=1)
-    step = line_search(state, np.array([-1.0]), PHI2, inst, cfg)
+                         prev_support=T, value=f, grad=g)
+    step = line_search(state, np.array([-1.0]), PHI2, inst)
     assert step is not None
     alpha, x_new, y_new, f_new, bt = step
     assert alpha == 1.0 and bt == 0
     assert x_new[0] == 0.0 and y_new[0] == 0.0 and f_new == 0.0
-    assert line_search(state, np.array([1.0]), PHI2, inst, cfg) is None
+    assert line_search(state, np.array([1.0]), PHI2, inst) is None
+    # the fixed Armijo constants: along d = -4, alpha = 1 gives x = -3,
+    # f = 9, and alpha = 1/2 gives x = -1, f = 1, both above
+    # 0.5 - 1e-4 * 8 alpha; the second halving, alpha = 1/4, reaches
+    # x = 0, f = 0.  So the trials are 1, 1/2, 1/4: beta = 0.5
+    alpha, x_new, y_new, f_new, bt = line_search(state, np.array([-4.0]),
+                                                 PHI2, inst)
+    assert alpha == 0.25 and bt == 2
+    assert x_new[0] == 0.0 and y_new[0] == 0.0 and f_new == 0.0
 
 
 def test_line_search_zeroes_coordinates_off_support():
@@ -95,9 +102,8 @@ def test_line_search_zeroes_coordinates_off_support():
     state = IterateState(x=x, y=inst.M @ x + inst.q, support=np.array([0]),
                          prev_support=np.array([0, 1]),
                          value=merit_value(PHI2, inst, x),
-                         grad=merit_gradient(PHI2, inst, x), eta=5.0)
-    step = line_search(state, np.array([0.5, 0.0]), PHI2, inst,
-                       SolverConfig(s=1))
+                         grad=merit_gradient(PHI2, inst, x))
+    step = line_search(state, np.array([0.5, 0.0]), PHI2, inst)
     assert step is not None
     assert step[1][0] == 1.0  # full step on the supported coordinate
     assert step[1][1] == 0.0  # off-support coordinate dropped
