@@ -3,7 +3,8 @@
 Each experiment runs a grid of problem sizes; each grid cell runs a
 fixed number of independent trials whose generator seed is
 base_seed + trial_index, so any sweep can be reproduced or parallelized
-without changing its results.  Reals are serialized with 17 significant
+without changing its results.  Cells whose trials draw the same instance
+share it, generated once.  Reals are serialized with 17 significant
 digits; with timing disabled the output is byte-for-byte reproducible.
 
 Every experiment is one entry of a single table: a CSV header, a trial
@@ -78,9 +79,9 @@ class ExperimentSpec:
     """A full experiment: what to run, over which grid, and where.
 
     example names the instance family; measure_time=False writes 0.0 in
-    every time column so reruns are byte-identical; parallel fans every
-    (cell, trial) pair out over one process pool without changing seeds
-    or row order.
+    every time column so reruns are byte-identical; parallel fans the
+    generated instances, each with the trials drawn on it, out over one
+    process pool without changing seeds or row order.
     """
 
     experiment: str
@@ -254,27 +255,36 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _run_trial(args):
-    """Generate one trial's instance and run the experiment's trial on it;
-    module-level so that worker processes can unpickle it."""
-    spec, point, trial = args
-    inst = generate(GeneratorSpec(spec.example, point.n, s_star=point.s_star,
-                                  seed=spec.base_seed + trial))
-    return _EXPERIMENTS[spec.experiment][1](spec, point, trial, inst)
+    """Generate one instance and run the experiment's trial for every
+    (cell, trial) pair drawn on it; module-level so that worker processes
+    can unpickle it."""
+    spec, gen, pairs = args
+    inst = generate(gen)
+    trial = _EXPERIMENTS[spec.experiment][1]
+    return [trial(spec, point, t, inst) for point, t in pairs]
 
 
 def run_experiment(spec):
     """Run every cell of spec.grid; writes and returns the CSV rows."""
     header, _, cell_rows = _EXPERIMENTS[spec.experiment]
-    tasks = [(spec, point, t) for point in spec.grid
-             for t in range(spec.trials)]
+    groups = {}  # GeneratorSpec -> the (cell, trial) pairs drawn on it
+    for point in spec.grid:
+        for t in range(spec.trials):
+            gen = GeneratorSpec(spec.example, point.n, s_star=point.s_star,
+                                seed=spec.base_seed + t)
+            groups.setdefault(gen, []).append((point, t))
+    tasks = [(spec, gen, pairs) for gen, pairs in groups.items()]
     if spec.parallel and len(tasks) > 1:
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_run_trial, tasks))
+            outputs = list(pool.map(_run_trial, tasks))
     else:
-        results = [_run_trial(t) for t in tasks]
+        outputs = map(_run_trial, tasks)
+    results = {}
+    for pairs, out in zip(groups.values(), outputs):
+        results.update(zip(pairs, out))
     rows = [header]
-    for i, point in enumerate(spec.grid):
-        cell = results[i * spec.trials:(i + 1) * spec.trials]
+    for point in spec.grid:
+        cell = [results[point, t] for t in range(spec.trials)]
         rows.extend(cell_rows(spec, point, cell))
     _write_csv(spec.output_path, rows)
     return rows

@@ -21,6 +21,10 @@ BLAS setup they repeat exactly.  The pipeline:
     rho*cos(angle) then rho*sin(angle).  An odd request discards the
     final sine.  log/cos/sin are IEEE double evaluations (numpy's, which
     agree between array and scalar paths).
+  * Blocks: normals and (0, 1) uniforms are drawn a fixed number of
+    draws at a time straight into their output, so temporaries stay
+    small; each value depends only on its position in the stream, so
+    the stream does not depend on the block size.
   * Permutations: Fisher-Yates over the [0,1) stream, descending: for
     i = n-1 down to 1, j = floor(u * (i+1)) with one fresh uniform u,
     swap positions i and j.
@@ -39,6 +43,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
+_BLOCK = 8192  # draws per block: each block's temporaries stay in cache
 
 
 class Rng:
@@ -64,18 +69,24 @@ class Rng:
         return (self.raw(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def uniforms_open(self, count):
-        raw = (self.raw(count) >> np.uint64(11)).astype(np.float64)
-        return (raw + 0.5) * 2.0**-53
+        out = np.empty(count)
+        for lo in range(0, count, _BLOCK):
+            hi = min(lo + _BLOCK, count)
+            raw = (self.raw(hi - lo) >> np.uint64(11)).astype(np.float64)
+            np.multiply(raw + 0.5, 2.0**-53, out=out[lo:hi])
+        return out
 
     def normals(self, count):
         pairs = (count + 1) // 2
-        u = self.uniforms(2 * pairs)
-        rho = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
-        angle = 2.0 * np.pi * u[1::2]
-        z = np.empty(2 * pairs)
-        z[0::2] = rho * np.cos(angle)
-        z[1::2] = rho * np.sin(angle)
-        return z[:count]
+        z = np.empty((pairs, 2))  # one Box-Muller (cos, sin) pair per row
+        for lo in range(0, pairs, _BLOCK // 2):
+            hi = min(lo + _BLOCK // 2, pairs)
+            u = self.uniforms(2 * (hi - lo))
+            rho = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+            angle = 2.0 * np.pi * u[1::2]
+            np.multiply(rho, np.cos(angle), out=z[lo:hi, 0])
+            np.multiply(rho, np.sin(angle), out=z[lo:hi, 1])
+        return z.reshape(-1)[:count]
 
     def permutation(self, n):
         a = np.arange(n)

@@ -165,6 +165,25 @@ def test_parallel_run_starts_one_pool(tmp_path, monkeypatch):
     assert len(rows) == 4
 
 
+def test_cells_sharing_an_instance_generate_it_once(tmp_path, monkeypatch):
+    # three budgets on one planted family draw the same two instances;
+    # each is built once and every cell's row is what it is alone
+    calls = []
+
+    def counting_generate(gen):
+        calls.append(gen)
+        return generate(gen)
+
+    monkeypatch.setattr(bench, "generate", counting_generate)
+    grid = tuple(GridPoint(40, s_star=2, s=s) for s in (1, 2, 3))
+    rows = run_experiment(spec_for(tmp_path, "success_vs_s", grid))
+    assert len(calls) == 2
+    alone = [run_experiment(spec_for(tmp_path, "success_vs_s", (point,),
+                                     name=f"cell{point.s}.csv"))[1]
+             for point in grid]
+    assert rows[1:] == alone
+
+
 def test_scaling_schema_on_exact_family(tmp_path):
     grid = (GridPoint(100, r=2.0), GridPoint(100, r=3.0))
     spec = spec_for(tmp_path, "scaling", grid, example="zmatrix", trials=1)

@@ -10,8 +10,8 @@ import pytest
 from matrix_classes import (CombinatorialLimit, is_ps_matrix, is_psd,
                             is_z_matrix)
 from sparselcp.merit import MeritModel, merit_value
-from sparselcp.problems import (GeneratorSpec, Rng, generate, is_success,
-                                relative_error)
+from sparselcp.problems import (_BLOCK, GeneratorSpec, Rng, generate,
+                                is_success, relative_error)
 
 PHI2 = MeritModel.phi_r(2)
 
@@ -91,6 +91,33 @@ def test_normals_match_reference_box_muller():
     for count in (1, 2, 7, 32):
         got = Rng(5).normals(count).tolist()
         assert got == ref_normals(5, count), count
+
+
+def test_blocks_do_not_change_the_stream():
+    # counts on either side of one and two block edges draw exactly the
+    # reference values and leave the stream where one big draw would
+    for count in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+        r = Rng(9)
+        assert r.normals(count).tolist() == ref_normals(9, count), count
+        used = count + count % 2  # an odd request discards one sine
+        assert r.raw(3).tolist() == ref_raw(9, 3, offset=used), count
+        r = Rng(9)
+        want = [((x >> 11) + 0.5) * 2.0**-53 for x in ref_raw(9, count)]
+        assert r.uniforms_open(count).tolist() == want, count
+        assert r.raw(3).tolist() == ref_raw(9, 3, offset=count), count
+
+
+def test_draws_need_no_memory_beyond_their_output():
+    # blocked draws write straight into the output; the temporaries of
+    # one block are small next to a million draws
+    for draw in ("normals", "uniforms_open"):
+        tracemalloc.start()
+        try:
+            out = getattr(Rng(0), draw)(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes, draw
 
 
 def test_permutation_matches_reference_fisher_yates():
@@ -223,6 +250,14 @@ def test_gaussian_factor_matches_reference_stream():
     spec = GeneratorSpec("sdp_gaussian", 4, s_star=1, m=2, seed=31)
     inst = generate(spec)
     Z = np.array(ref_normals(31, 8)).reshape(4, 2)
+    assert np.array_equal(inst.M, Z @ Z.T)
+
+
+def test_gaussian_factor_spanning_blocks_matches_reference_stream():
+    spec = GeneratorSpec("sdp_gaussian", 200, s_star=1, m=100, seed=31)
+    assert spec.n * spec.m > 2 * _BLOCK
+    inst = generate(spec)
+    Z = np.array(ref_normals(31, 200 * 100)).reshape(200, 100)
     assert np.array_equal(inst.M, Z @ Z.T)
 
 
