@@ -13,7 +13,9 @@ max(||x_-||, ||y_-||, ||x * y||) / max(1, ||q||) in inf-norms, with
 y = M x + q computed from the printed x (core.certificate), which drops
 the entries core.support_mask reads as round-off.  It needs no
 ground truth; a solve ends `certified` when its own certificate is at
-most 1e-12.
+most 1e-12.  The printed objective and residual are those of the LCP
+the solver runs on, (M, q) divided by the scales of nhtp.Equilibrated,
+the units --eta and --tol live in; x is in the units of the file.
 
 Exit codes: 0 on success, 2 when the solver or pivoting run ends in a
 failure state (ray termination, pivot limit, failed line search), 1 on
@@ -80,8 +82,12 @@ def _add_solver_flags(p, with_s=True):
                    help="exponent for the phi_r merit (default 2)")
     if with_s:
         p.add_argument("--s", type=int, help="sparsity budget")
-    p.add_argument("--eta", type=float, help="threshold step")
-    p.add_argument("--tol", type=float, help="stationarity tolerance")
+    p.add_argument("--eta", type=float,
+                   help="threshold step, in the solver's equilibrated "
+                        "units (default 2)")
+    p.add_argument("--tol", type=float,
+                   help="stationarity tolerance, in the solver's "
+                        "equilibrated units")
     p.add_argument("--maxiter", type=int, dest="max_iter",
                    metavar="MAXITER", help="iteration cap")
 

@@ -37,13 +37,17 @@ def _frozen_array(a):
 
 
 def _check_finite(a, name):
-    """Raise ValueError if a holds a NaN or an infinity.
+    """Raise ValueError if a holds a NaN or an infinity; else return the
+    largest |a_i|, 0 when a is empty or zero.
 
     NaN and +-inf propagate through min and max, which, unlike
-    np.isfinite(a).all(), allocate no temporary of a's size."""
-    if not (np.isfinite(a.min(initial=0.0))
-            and np.isfinite(a.max(initial=0.0))):
+    np.isfinite(a).all() or np.abs(a).max(), allocate no temporary of
+    a's size."""
+    lo = float(a.min(initial=0.0))
+    hi = float(a.max(initial=0.0))
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"{name} must be finite")
+    return max(-lo, hi)
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,12 @@ class LcpInstance:
     additionally bound the number of nonzeros of x.
 
     ground_truth : optional planted solution used for error reporting
+    m_scale : max |M_ij|, or 1 when M = 0; set from M
+    q_scale : max(1, ||q||_inf); set from q
 
-    M, q and ground_truth must be finite; ValueError otherwise.  The
+    M, q and ground_truth must be finite; ValueError otherwise.  The two
+    scales come from the same sweeps as that check, and the pursuit
+    solver divides M and q by them (nhtp.Equilibrated).  The
     instance takes ownership of a float64 array that owns its data: it
     keeps that array without a copy and makes it read-only.  Anything
     else (a list, another dtype, a view) is copied.
@@ -64,6 +72,8 @@ class LcpInstance:
     M: np.ndarray
     q: np.ndarray
     ground_truth: np.ndarray = None
+    m_scale: float = field(init=False, repr=False, compare=False)
+    q_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = _frozen_array(self.M)
@@ -72,8 +82,8 @@ class LcpInstance:
             raise ValueError("M must be square")
         if q.shape != (M.shape[0],):
             raise ValueError("q length must match M")
-        _check_finite(M, "M")
-        _check_finite(q, "q")
+        m_max = _check_finite(M, "M")
+        q_max = _check_finite(q, "q")
         gt = self.ground_truth
         if gt is not None:
             gt = _frozen_array(gt)
@@ -83,6 +93,8 @@ class LcpInstance:
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "ground_truth", gt)
+        object.__setattr__(self, "m_scale", m_max if m_max > 0.0 else 1.0)
+        object.__setattr__(self, "q_scale", max(1.0, q_max))
 
     @property
     def n(self):
@@ -117,9 +129,17 @@ class SolverConfig:
     """Parameters of the sparse Newton pursuit solver.
 
     s : sparsity budget (1 <= s <= n, checked at solve time)
-    eta : thresholding step, finite; None picks 5 when n <= 1000 else 1
+    eta : thresholding step, positive and finite
     tol : halting threshold on the stationarity residual, finite
     max_iter : outer iteration cap
+
+    eta and tol live in the solver's equilibrated units: it runs on the
+    LCP (M / m_scale, q / q_scale) of LcpInstance (nhtp.Equilibrated), so
+    the same eta fits every scale of M and q.  Of eta = 0.5, 1, 2, 3 and
+    5, the values 0.5, 2 and 5 recovered all 93 planted solutions of
+    phi_2, phi_3 and psi2 at s = s* on sdp_gaussian, sdp_uniform and
+    zmatrix (n = 1000 and 5000).  On 24 phi_2 solves of sdp_gaussian at
+    n = 5000, 5 halved eta and 2 was faster than 0.5, never halving.
 
     The Armijo slope fraction (1e-4) and backtracking shrink factor (0.5),
     the descent-test curvature floors, the objective-stall threshold and
@@ -127,14 +147,14 @@ class SolverConfig:
     """
 
     s: int
-    eta: float = None
+    eta: float = 2.0
     tol: float = 1e-10
     max_iter: int = 2000
 
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be at least 1")
-        if self.eta is not None and not 0 < self.eta < np.inf:
+        if not 0 < self.eta < np.inf:
             raise ValueError("eta must be positive and finite")
         if not 0 <= self.tol < np.inf:
             raise ValueError("tol must be nonnegative and finite")
@@ -142,17 +162,17 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
     def eta_for(self, n):
-        if self.eta is not None:
-            return float(self.eta)
-        return 5.0 if n <= 1000 else 1.0
+        """The threshold step at dimension n: eta, whatever n."""
+        return float(self.eta)
 
 
 class Termination(enum.Enum):
     """Why a solve ended.  RESIDUAL_MET: the stationarity residual fell to
-    tol.  CERTIFIED: the point passes certificate() at 1e-12, a solution
-    of the LCP whatever its residual.  OBJECTIVE_STALLED: the merit
-    stopped falling at a point that is not certified.  ITERATION_CAP and
-    LINE_SEARCH_FAILED: the solve gave up."""
+    tol.  CERTIFIED: the point passes certificate() at 1e-12 on the
+    solver's equilibrated LCP, a solution whatever its residual.
+    OBJECTIVE_STALLED: the merit stopped falling at a point that is not
+    certified.  ITERATION_CAP and LINE_SEARCH_FAILED: the solve gave
+    up."""
 
     RESIDUAL_MET = "residual_met"
     CERTIFIED = "certified"
@@ -169,6 +189,10 @@ class SolveReport:
     length s, so supp(x) is always contained in it.  f_trace records the
     objective at x^0, x^1, ...  termination says why the solve ended; only
     RESIDUAL_MET and CERTIFIED claim that x solves the problem.
+
+    x is in the units of the instance's (M, q).  objective, f_trace and
+    residual are those of the equilibrated LCP the solver ran on
+    (nhtp.Equilibrated), the units SolverConfig's eta and tol live in.
     """
 
     x: np.ndarray

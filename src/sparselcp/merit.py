@@ -194,15 +194,18 @@ def _active_rows(h):
     return None if 2 * rows.size > h.size else rows
 
 
-def gradient_from_xy(model, M, x, y):
+def gradient_from_xy(model, M, x, y, scale=1.0):
     """Merit gradient from precomputed y.
 
     g_a + M[a]^T g_b[a] over the active rows a of g_b, read one block of
     _BLOCK_ENTRIES entries of M at a time, in O(|a| n); gathering every
     active row at once would copy up to half of M.  With more than half
-    the rows active it is the single matvec M^T g_b.
+    the rows active it is the single matvec M^T g_b.  The gradient is
+    that of the LCP whose matrix is scale * M, with y = scale * M x + q'
+    given: g_b carries the factor, so M is never scaled or copied.
     """
     da, db = _KERNELS[model.kind](x, y, model.r, 1)
+    db *= scale
     rows = _active_rows(db)
     if rows is None:
         return da + M.T @ db
@@ -225,7 +228,7 @@ def merit_gradient(model, inst, x):
     return gradient_from_xy(model, inst.M, x, inst.M @ x + inst.q)
 
 
-def merit_hessian(model, inst, x, rows, cols, y=None):
+def merit_hessian(model, inst, x, rows, cols, y=None, scale=1.0):
     """The |rows| x |cols| block of the merit Hessian at x: entry (i, j)
     is H[rows[i], cols[j]], so indices may come in any order and repeat.
 
@@ -234,7 +237,9 @@ def merit_hessian(model, inst, x, rows, cols, y=None):
     M[:, rows] and M[:, cols] are gathered once; the M^T Diag(h_bb) M term
     reads only their rows with h_bb != 0, in O(|a| |rows| |cols|), or all
     n rows when more than half are active.  The full matrix is never
-    formed.
+    formed.  As in gradient_from_xy, scale turns M into scale * M: h_ab
+    carries it once and h_bb twice, and y, which defaults to M x + q,
+    must then be given.
     """
     x = np.asarray(x, dtype=np.float64)
     M = inst.M
@@ -243,6 +248,8 @@ def merit_hessian(model, inst, x, rows, cols, y=None):
     R = np.asarray(rows, dtype=np.intp)
     C = np.asarray(cols, dtype=np.intp)
     haa, hab, hbb = _KERNELS[model.kind](x, y, model.r, 2)
+    hab *= scale
+    hbb *= scale * scale
     MC = inst.columns(C)
     MR = MC if np.array_equal(R, C) else inst.columns(R)
     act = _active_rows(hbb)

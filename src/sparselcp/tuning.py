@@ -25,7 +25,8 @@ class TuningConfig:
 
     s0 : starting budget; None picks ceil(n / 5000), minimum 1
     rho : finite growth factor > 1; None picks max(2, log10 n)
-    eps : accept a round once the merit drops below this (finite, > 0);
+    eps : accept a round once the merit, in the solver's equilibrated
+          units (SolveReport.objective), drops below this (finite, > 0);
           a CERTIFIED round is accepted whatever its merit
     max_rounds : hard cap on solver invocations
     """

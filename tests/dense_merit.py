@@ -7,13 +7,13 @@ import numpy as np
 from sparselcp.merit import _KERNELS
 
 
-def dense_gradient(model, M, x, y):
+def dense_gradient(model, M, x, y, scale=1.0):
     """g_a + M^T g_b as one matvec."""
     da, db = _KERNELS[model.kind](x, y, model.r, 1)
-    return da + M.T @ db
+    return da + M.T @ (scale * db)
 
 
-def dense_hessian(model, inst, x, rows, cols, y=None):
+def dense_hessian(model, inst, x, rows, cols, y=None, scale=1.0):
     """H[rows, cols] with the M^T Diag(h_bb) M term over all n rows."""
     x = np.asarray(x, dtype=np.float64)
     if y is None:
@@ -21,6 +21,8 @@ def dense_hessian(model, inst, x, rows, cols, y=None):
     R = np.asarray(rows, dtype=np.intp)
     C = np.asarray(cols, dtype=np.intp)
     haa, hab, hbb = _KERNELS[model.kind](x, y, model.r, 2)
+    hab = scale * hab
+    hbb = scale * scale * hbb
     MC = inst.columns(C)
     MR = MC if np.array_equal(R, C) else inst.columns(R)
     H = MR.T @ (hbb[:, None] * MC)

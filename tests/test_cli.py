@@ -4,14 +4,15 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparselcp import bench, cli
+from sparselcp import bench, cli, nhtp
 from sparselcp.cli import build_parser, main
-from sparselcp.core import (LcpInstance, SolverConfig, certificate,
+from sparselcp.core import (LcpInstance, SolverConfig, _fmt, certificate,
                             load_instance, save_instance)
 
 
@@ -151,15 +152,42 @@ def test_warm_start_conflicts_with_start_file(tmp_path, capsys):
     assert code == 1
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
-    # a merit that overflows at the start drives the solver into its
-    # line-search failure stop
-    bad = write_instance(tmp_path, [[1.0]], [-1e300], name="huge.txt")
+def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # M = 1, q = -1e300: the merit overflows at zero in the units of the
+    # file, not in the solver's equilibrated ones, and x = 1e300 solves
+    huge = write_instance(tmp_path, [[1.0]], [-1e300], name="huge.txt")
+    for cmd in (["solve", "--s", "1"], ["tune"]):
+        assert main([cmd[0], "--instance", huge, *cmd[1:]]) == 0
+        out = capsys.readouterr().out
+        assert "termination: residual_met" in out
+        assert "certificate: 0.000000e+00" in out
+        assert f"x[1] = {_fmt(1e300)}" in out
+    # on M = 1, q = 1 a start of 1e300 does overflow, and drives the
+    # solver into its line-search failure stop.  Both subcommands start
+    # from zero here, so their solver is made to start from 1e300
+    real = nhtp.solve
+    monkeypatch.setattr(nhtp, "solve", lambda inst, model, config, x0=None:
+                        real(inst, model, config, x0=np.full(inst.n, 1e300)))
+    bad = write_instance(tmp_path, [[1.0]], [1.0], name="bad.txt")
     for cmd in (["solve", "--s", "1"], ["tune"]):
         with np.errstate(over="ignore"):
             code = main([cmd[0], "--instance", bad, *cmd[1:]])
         assert code == 2
         assert "termination: line_search_failed" in capsys.readouterr().out
+
+
+def test_tune_solves_a_huge_q_without_warnings(tmp_path, capsys):
+    # M = I, q = (-1e200, -1e200): f(0) overflows in the units of the
+    # file; the solver divides q by 1e200 and solves it quietly
+    path = tmp_path / "huge.txt"
+    path.write_text("2\n1 0\n0 1\n-1e200 -1e200\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["tune", "--instance", str(path)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out = capsys.readouterr().out
+    assert "certificate: 0.000000e+00" in out
+    assert out.count(f"= {_fmt(1e200)}") == 2
 
 
 def test_non_finite_instance_is_an_input_error(tmp_path, capsys):

@@ -199,10 +199,10 @@ def test_solver_config_validation():
             SolverConfig(**bad)
 
 
-def test_eta_default_switches_at_dimension_1000():
+def test_eta_default_is_two_at_every_dimension():
     cfg = SolverConfig(s=1)
-    assert cfg.eta_for(1000) == 5.0
-    assert cfg.eta_for(1001) == 1.0
+    assert cfg.eta_for(1000) == 2.0
+    assert cfg.eta_for(1001) == 2.0
     assert SolverConfig(s=1, eta=0.25).eta_for(10**6) == 0.25
 
 

@@ -1,5 +1,7 @@
 """Tests for the Newton hard-thresholding pursuit solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,38 +9,54 @@ from dense_merit import dense_gradient, dense_hessian
 from sparselcp import nhtp
 from sparselcp.core import (LcpInstance, SolverConfig, Termination,
                             certificate, top_s_by_magnitude)
-from sparselcp.merit import MeritModel, merit_gradient, merit_value
-from sparselcp.nhtp import (IterateState, fallback_direction, line_search,
-                            newton_direction, residual, select_support, solve)
+from sparselcp.merit import (MeritModel, gradient_from_xy, merit_gradient,
+                             merit_value, value_from_xy)
+from sparselcp.nhtp import (Equilibrated, IterateState, fallback_direction,
+                            line_search, newton_direction, residual,
+                            select_support, solve)
 from sparselcp.problems import GeneratorSpec, generate, is_success
 from sparselcp.tuning import TuningConfig, nhtpt_solve
 
 PHI2 = MeritModel.phi_r(2)
 
 
-def one_dim_state(M_val, q_val, x_val, s=1):
-    inst = LcpInstance(np.array([[M_val]]), np.array([q_val]))
-    x = np.array([float(x_val)])
-    y = inst.M @ x + inst.q
+def one_dim_state(M_val, q_val, u_val, s=1):
+    """The equilibrated one-dimensional LCP and its iterate at u."""
+    lcp = Equilibrated.of(LcpInstance(np.array([[M_val]]), np.array([q_val])))
+    u = np.array([float(u_val)])
+    v = lcp.scale * lcp.inst.M @ u + lcp.q
     T = np.arange(s)
-    return inst, IterateState(x=x, y=y, support=T, prev_support=T,
-                              value=merit_value(PHI2, inst, x),
-                              grad=merit_gradient(PHI2, inst, x))
+    return lcp, IterateState(
+        x=u, y=v, support=T, prev_support=T,
+        value=value_from_xy(PHI2, u, v),
+        grad=gradient_from_xy(PHI2, lcp.inst.M, u, v, scale=lcp.scale))
+
+
+def test_equilibration_scales():
+    # mu = max |M_ij| = 2 and rho = max(1, ||q||_inf) = 3, so the solver
+    # runs on M / 2, q / 3 and hands out x = (3 / 2) u; a zero M scales
+    # by 1 and a small q by 1
+    lcp, _ = one_dim_state(2.0, -3.0, 2.0)
+    assert (lcp.scale, lcp.q.tolist(), lcp.nu) == (0.5, [-1.0], 1.5)
+    flat = Equilibrated.of(LcpInstance(np.zeros((2, 2)),
+                                       np.array([0.5, -0.25])))
+    assert (flat.scale, flat.q.tolist(), flat.nu) == (1.0, [0.5, -0.25], 1.0)
 
 
 def test_newton_direction_worked_example():
-    # M = [[2]], q = [-3], x = 2: gradient 10, Hessian 33, no dropped
-    # coordinates, so the direction solves 33 d = -10
-    inst, state = one_dim_state(2.0, -3.0, 2.0)
-    d = newton_direction(state, PHI2, inst, 5.0)
+    # M = [[2]], q = [-3] equilibrate to [[1]], [-1].  At u = 2, v = 1:
+    # gradient 6, Hessian 13, no dropped coordinates, so the direction
+    # solves 13 d = -6
+    lcp, state = one_dim_state(2.0, -3.0, 2.0)
+    d = newton_direction(state, PHI2, lcp, 5.0)
     assert d is not None
-    assert d[0] == pytest.approx(-10.0 / 33.0, rel=1e-14)
+    assert d[0] == pytest.approx(-6.0 / 13.0, rel=1e-14)
 
 
 def test_residual_worked_example():
     # full support (s = n): residual is just the gradient norm
     _, state = one_dim_state(2.0, -3.0, 2.0)
-    assert residual(state.x, state.grad, state.support, 5.0, 1) == 10.0
+    assert residual(state.x, state.grad, state.support, 5.0, 1) == 6.0
 
 
 def test_residual_off_support_charge():
@@ -78,18 +96,19 @@ def test_line_search_accepts_descent_and_rejects_ascent():
     T = np.array([0])
     state = IterateState(x=x, y=inst.M @ x + inst.q, support=T,
                          prev_support=T, value=f, grad=g)
-    step = line_search(state, np.array([-1.0]), PHI2, inst)
+    lcp = Equilibrated.of(inst)  # unit scales: the LCP itself
+    step = line_search(state, np.array([-1.0]), PHI2, lcp)
     assert step is not None
     alpha, x_new, y_new, f_new, bt = step
     assert alpha == 1.0 and bt == 0
     assert x_new[0] == 0.0 and y_new[0] == 0.0 and f_new == 0.0
-    assert line_search(state, np.array([1.0]), PHI2, inst) is None
+    assert line_search(state, np.array([1.0]), PHI2, lcp) is None
     # the fixed Armijo constants: along d = -4, alpha = 1 gives x = -3,
     # f = 9, and alpha = 1/2 gives x = -1, f = 1, both above
     # 0.5 - 1e-4 * 8 alpha; the second halving, alpha = 1/4, reaches
     # x = 0, f = 0.  So the trials are 1, 1/2, 1/4: beta = 0.5
     alpha, x_new, y_new, f_new, bt = line_search(state, np.array([-4.0]),
-                                                 PHI2, inst)
+                                                 PHI2, lcp)
     assert alpha == 0.25 and bt == 2
     assert x_new[0] == 0.0 and y_new[0] == 0.0 and f_new == 0.0
 
@@ -103,7 +122,8 @@ def test_line_search_zeroes_coordinates_off_support():
                          prev_support=np.array([0, 1]),
                          value=merit_value(PHI2, inst, x),
                          grad=merit_gradient(PHI2, inst, x))
-    step = line_search(state, np.array([0.5, 0.0]), PHI2, inst)
+    step = line_search(state, np.array([0.5, 0.0]), PHI2,
+                       Equilibrated.of(inst))  # unit scales
     assert step is not None
     assert step[1][0] == 1.0  # full step on the supported coordinate
     assert step[1][1] == 0.0  # off-support coordinate dropped
@@ -221,11 +241,12 @@ def test_working_sets_are_sorted_index_arrays_of_size_s():
 
 
 def test_eta_retries_do_not_repeat_work(monkeypatch):
-    # this solve halves eta 18 times, mostly reselecting the working set
-    # at the same point; none of those retries may rebuild a T x T
-    # Hessian or rerun a line search on a direction that already failed.
-    # The budget is one below the planted 5, so no point the finish
-    # builds certifies and the retries run
+    # an eta of 1e6 is far too large in equilibrated units, so this solve
+    # halves it 19 times, mostly reselecting the working set at the same
+    # point; none of those retries may rebuild a T x T Hessian or rerun
+    # a line search on a direction that already failed.  The budget is
+    # one below the planted 5, so no point the finish builds certifies
+    # and the retries run
     searched, built, selected = [], [], []
     real_search, real_hessian = nhtp.line_search, nhtp.mer.merit_hessian
     real_select = nhtp.select_support
@@ -249,60 +270,64 @@ def test_eta_retries_do_not_repeat_work(monkeypatch):
     monkeypatch.setattr(nhtp.mer, "merit_hessian", hessian)
     monkeypatch.setattr(nhtp, "select_support", select)
     inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
-    rep = solve(inst, PHI2, SolverConfig(s=4))
+    rep = solve(inst, PHI2, SolverConfig(s=4, eta=1e6))
     assert len(set(selected)) < len(selected)  # same T at the same x
     assert len(set(searched)) == len(searched)
     assert len(set(built)) == len(built)
-    assert rep.iterations == 7
+    assert rep.iterations == 6
     assert rep.termination is Termination.RESIDUAL_MET
-    assert rep.backtracks_total == 923  # 18 halvings of 51, plus 5
+    assert rep.backtracks_total == 969  # 19 halvings of 51; no backtracks
     assert rep.support.tolist() == [150, 203, 226, 408]
 
 
 def test_finish_runs_once_per_iterate(monkeypatch):
-    # the 18 eta retries of this solve stay at one point each time; the
+    # the 19 eta retries of this solve stay at one point each time; the
     # finish must not rerun on any of them
     calls = []
     real = nhtp._finish
 
-    def finish(inst, x, s):
+    def finish(lcp, x, s):
         calls.append(x.tobytes())
-        return real(inst, x, s)
+        return real(lcp, x, s)
 
     monkeypatch.setattr(nhtp, "_finish", finish)
     inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
-    rep = solve(inst, PHI2, SolverConfig(s=4))
-    assert rep.backtracks_total >= 18 * 51
+    rep = solve(inst, PHI2, SolverConfig(s=4, eta=1e6))
+    assert rep.backtracks_total == 19 * 51
     assert len(calls) <= rep.iterations + 1
     assert len(set(calls)) == len(calls)
 
 
 def test_finish_certifies_through_rounding_level_negatives():
     # from one of the two planted indices, one pass brings in the other.
-    # At the solution 43 off-support y_i come out negative by about 1e-15,
-    # so only a tolerance on y lets the finish certify it
+    # At the solution 54 off-support v_i of the equilibrated LCP come out
+    # negative by about 1e-17, so only a tolerance on v lets the finish
+    # certify it
     inst = generate(GeneratorSpec("sdp_gaussian", 200, seed=0))
+    lcp = Equilibrated.of(inst)
     gt = inst.ground_truth
     planted = np.flatnonzero(gt)
-    x = gt.copy()
-    x[planted[1]] = 0.0
-    x_f, y_f = nhtp._finish(inst, x, 2)
-    assert np.flatnonzero(x_f).tolist() == planted.tolist()
-    assert np.allclose(x_f, gt, rtol=0.0, atol=1e-12)
-    assert np.allclose(y_f, inst.M @ x_f + inst.q, rtol=0.0, atol=1e-12)
+    u = gt / lcp.nu
+    u[planted[1]] = 0.0
+    u_f, v_f = nhtp._finish(lcp, u, 2)
+    assert np.flatnonzero(u_f).tolist() == planted.tolist()
+    assert np.allclose(lcp.nu * u_f, gt, rtol=0.0, atol=1e-12)
+    assert np.allclose(v_f, lcp.scale * (inst.M @ u_f) + lcp.q,
+                       rtol=0.0, atol=1e-12)
     off = gt == 0.0
-    assert np.count_nonzero(y_f[off] < 0.0) == 43
-    assert y_f[off].min() >= -1e-12 * np.abs(inst.q).max()
-    assert certificate(x_f, y_f, inst.q) <= 1e-12
+    assert np.count_nonzero(v_f[off] < 0.0) == 54
+    assert v_f[off].min() >= -1e-12  # ||q / rho||_inf = 1
+    assert certificate(u_f, v_f, lcp.q) <= 1e-12
     # no room for the second index, and nothing to start from
-    assert nhtp._finish(inst, x, 1) is None
-    assert nhtp._finish(inst, np.zeros(inst.n), 2) is None
+    assert nhtp._finish(lcp, u, 1) is None
+    assert nhtp._finish(lcp, np.zeros(inst.n), 2) is None
 
 
 def test_finished_point_is_an_iterate(monkeypatch):
-    # the finish certifies x^2 here, where the pursuit alone took 8
-    # iterations: that point reaches callback and f_trace as an s-sparse
-    # iterate that does not raise f, and the report is built from it
+    # the finish certifies x^2 here, where the pursuit alone took 7
+    # iterations: that point, scaled back to the units of (M, q),
+    # reaches callback and f_trace as an s-sparse iterate that does not
+    # raise f, and the report is built from it
     polished = []
     real = nhtp._finish
 
@@ -320,8 +345,10 @@ def test_finished_point_is_an_iterate(monkeypatch):
                 callback=lambda k, x, f: seen.append((k, x.copy(), f)))
     assert len(polished) == 1
     assert [k for k, _, _ in seen] == [0, 1, 2] and rep.iterations == 2
-    assert np.array_equal(seen[-1][1], polished[0])
-    assert np.array_equal(rep.x, polished[0])
+    nu = Equilibrated.of(inst).nu
+    assert nu != 1.0
+    assert np.array_equal(seen[-1][1], nu * polished[0])
+    assert np.array_equal(rep.x, nu * polished[0])
     assert [f for _, _, f in seen] == rep.f_trace
     assert all(np.count_nonzero(x) <= 2 for _, x, _ in seen)
     assert all(b <= a for a, b in zip(rep.f_trace, rep.f_trace[1:]))
@@ -385,6 +412,41 @@ def test_row_skipping_derivatives_leave_the_solve_unchanged(monkeypatch,
     assert np.allclose(skipping.x, dense.x, rtol=1e-10, atol=1e-12)
 
 
+def test_power_of_two_scalings_give_bit_identical_solves():
+    # scaling M by 2^k and q by 2^j, with ||q||_inf >= 1 either way,
+    # leaves the equilibrated LCP bit for bit the same: the solve takes
+    # the same path and hands out exactly 2^(j - k) times the point
+    inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
+    config = SolverConfig(s=4)  # one below the planted 5: a longer path
+    base = solve(inst, PHI2, config)
+    assert base.iterations == 6
+    for k, j in ((3, -2), (-5, 4), (10, 10)):
+        scaled = LcpInstance(inst.M * 2.0**k, inst.q * 2.0**j)
+        assert np.abs(scaled.q).max() >= 1.0
+        rep = solve(scaled, PHI2, config)
+        assert np.array_equal(rep.x, base.x * 2.0**(j - k)), (k, j)
+        assert rep.iterations == base.iterations
+        assert np.array_equal(rep.support, base.support)
+        assert rep.termination is base.termination
+        assert rep.f_trace == base.f_trace
+
+
+def test_solve_allocates_nothing_of_the_size_of_m():
+    # the equilibrated LCP is never formed: every product with M carries
+    # the scale instead, so the solve's own peak stays a small fraction
+    # of M (about 2.4 % here; one copy of M would be 100 %)
+    spec = GeneratorSpec("sdp_gaussian", 2000, seed=0)
+    inst = generate(spec)
+    config = SolverConfig(s=spec.resolved_s_star)
+    tracemalloc.start()
+    try:
+        solve(inst, PHI2, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * inst.M.nbytes
+
+
 def test_oversized_start_is_trimmed():
     first = []
 
@@ -423,12 +485,20 @@ def test_iteration_cap_termination():
 
 
 def test_line_search_failure_on_non_decreasable_merit():
-    # the merit overflows to inf at the start, so every Armijo comparison
-    # fails; the solver walks its step-size ladder down to the floor and
-    # reports the failure instead of looping forever
+    # f(0) = q^2 / 2 overflows for q = -1e300 in the units of (M, q), but
+    # divided by rho = 1e300 the LCP is M = 1, q = -1: x = rho * 1 solves
     inst = LcpInstance(np.array([[1.0]]), np.array([-1e300]))
+    rep = solve(inst, PHI2, SolverConfig(s=1))
+    assert rep.termination is Termination.RESIDUAL_MET
+    assert rep.x.tolist() == [1e300]
+    assert certificate(rep.x, inst.M @ rep.x + inst.q, inst.q) == 0.0
+    # from x0 = 1e300 the merit does overflow to inf at the start (mu =
+    # rho = 1, so equilibration leaves the start as it is), and every
+    # Armijo comparison fails; the solver walks its step-size ladder down
+    # to the floor and reports the failure instead of looping forever
+    inst = LcpInstance(np.array([[1.0]]), np.array([1.0]))
     with np.errstate(over="ignore"):
-        rep = solve(inst, PHI2, SolverConfig(s=1))
+        rep = solve(inst, PHI2, SolverConfig(s=1), x0=np.array([1e300]))
     assert rep.termination is Termination.LINE_SEARCH_FAILED
     assert rep.iterations == 0
     assert np.isinf(rep.objective)
@@ -441,12 +511,12 @@ def test_explicit_eta_is_honored():
     inst = generate(spec)
     rep = solve(inst, PHI2, SolverConfig(s=1, eta=2.0))
     assert np.linalg.norm(rep.x - inst.ground_truth) <= 1e-8
-    # on this draw no iterate's finish certifies, and the two paths part
-    # at x^2: from zero, the first selection does not depend on eta
+    # on this draw the finish first certifies from x^2, and the two paths
+    # part at x^2: from zero, the first selection does not depend on eta
     planted = generate(GeneratorSpec("sdp_gaussian", 40, s_star=4, m=20,
                                      seed=1))
     default = solve(planted, PHI2, SolverConfig(s=4))
-    custom = solve(planted, PHI2, SolverConfig(s=4, eta=2.0))
+    custom = solve(planted, PHI2, SolverConfig(s=4, eta=0.5))
     assert default.f_trace[:2] == custom.f_trace[:2]
     assert default.f_trace[2] != custom.f_trace[2]
 

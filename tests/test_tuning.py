@@ -47,14 +47,13 @@ def test_trivial_instance_accepts_first_round():
 
 
 def test_budget_doubles_until_acceptance():
-    # planted sparsity 4: the s = 4 round misses the certificate on this
-    # draw, the s = 8 round lands it, so the schedule 1, 2, 4, 8 accepts
-    # in round 4
+    # planted sparsity 4: the s = 1 and s = 2 rounds cannot reach it, and
+    # the s = 4 round lands it, so the schedule 1, 2, 4 accepts in round 3
     inst = generate(GeneratorSpec("sdp_gaussian", 40, s_star=4, m=20, seed=8))
     report, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1),
                                  TuningConfig(s0=1, rho=2))
-    assert rounds == 4
-    assert report.support.size == 8
+    assert rounds == 3
+    assert report.support.size == 4
     assert report.objective < 1e-8
     assert is_success(report.x, inst.ground_truth)
 
@@ -88,10 +87,22 @@ def test_unaccepted_search_returns_best_round():
     assert report.objective >= 1.0 - 1e-12
 
 
-def test_failed_line_search_keeps_its_termination():
-    # a merit that overflows at the start: the only round's line search
-    # fails, and the search must not report that as a capped budget
+def test_failed_line_search_keeps_its_termination(monkeypatch):
+    # q = -1e300 overflows the merit at zero only in the units of (M, q):
+    # the solver's equilibrated units solve it in the first round
     inst = LcpInstance(np.eye(1), np.array([-1e300]))
+    report, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1))
+    assert rounds == 1
+    assert report.x.tolist() == [1e300]
+    assert report.termination is Termination.RESIDUAL_MET
+    # on M = 1, q = 1 a start of 1e300 overflows the merit, and rounds
+    # start from zero, so the solver is made to start there: the only
+    # round's line search fails, and the search must not report that as
+    # a capped budget
+    real = tuning.nhtp.solve
+    monkeypatch.setattr(tuning.nhtp, "solve", lambda inst, model, config:
+                        real(inst, model, config, x0=np.full(inst.n, 1e300)))
+    inst = LcpInstance(np.eye(1), np.array([1.0]))
     with np.errstate(over="ignore"):
         report, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1))
     assert rounds == 1
