@@ -161,18 +161,16 @@ class SolverConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
-    def eta_for(self, n):
-        """The threshold step at dimension n: eta, whatever n."""
-        return float(self.eta)
-
 
 class Termination(enum.Enum):
     """Why a solve ended.  RESIDUAL_MET: the stationarity residual fell to
-    tol.  CERTIFIED: the point passes certificate() at 1e-12 on the
-    solver's equilibrated LCP, a solution whatever its residual.
-    OBJECTIVE_STALLED: the merit stopped falling at a point that is not
-    certified.  ITERATION_CAP and LINE_SEARCH_FAILED: the solve gave
-    up."""
+    tol, so the point is s-stationary, as a spurious stationary point
+    with a positive merit is too.  CERTIFIED: the point passes
+    certificate() at 1e-12 on the solver's equilibrated LCP, a solution
+    whatever its residual.  OBJECTIVE_STALLED: the merit stopped falling
+    at a point that is not certified.  ITERATION_CAP and
+    LINE_SEARCH_FAILED: the solve gave up.  Only CERTIFIED, or a small
+    certificate() of the reported point, shows a solution."""
 
     RESIDUAL_MET = "residual_met"
     CERTIFIED = "certified"
@@ -187,8 +185,11 @@ class SolveReport:
 
     support holds the working set that produced x, a sorted index array of
     length s, so supp(x) is always contained in it.  f_trace records the
-    objective at x^0, x^1, ...  termination says why the solve ended; only
-    RESIDUAL_MET and CERTIFIED claim that x solves the problem.
+    objective at x^0, x^1, ...  backtracks_total sums, over the line
+    searches that ran, t for one that accepted alpha = 0.5^t and 51 for
+    one that failed.  termination says why the solve ended; RESIDUAL_MET
+    means x is s-stationary, not that it solves the problem.  Only
+    CERTIFIED, or a small certificate() of x, shows that.
 
     x is in the units of the instance's (M, q).  objective, f_trace and
     residual are those of the equilibrated LCP the solver ran on

@@ -45,21 +45,11 @@ line search exhausts its budget the solver halves eta and retries the
 iteration from the same point, so descent stays monotone; eta never
 grows back.  Only when eta has been driven 2^40 times below its starting
 value does the solver give up and report the failed line search.
-
-At a fixed point and working set, the Newton solve, the fallback
-direction and the line search do not depend on eta: eta enters only the
-selection of T and the ||x_offT||^2 / (4 eta) term of the descent test,
-which grows as eta halves.  So a retry that reselects the same T reuses
-the Newton solve and reruns only the descent test, and a direction whose
-line search already failed there is not searched again: the retry goes
-straight to the next halving.  Each halving still adds 51 to the
-reported backtrack count, whether or not its search ran.  A retry does
-not rerun the finish either: the point has not moved.
 """
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,16 +98,12 @@ class Equilibrated:
         return cls(inst, 1.0 / mu, inst.q / rho, rho / mu)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterateState:
     """One solver iterate: the point, its working sets and derivatives.
 
     support is the current selection T_k and prev_support the set T_{k-1}
     whose coordinates may still be nonzero in x, both sorted index arrays.
-    Everything here is fixed at (x, support), whatever the threshold
-    step: newton holds the restricted Newton solve once newton_direction
-    has run it, and failed the directions whose line search failed here
-    (True for the Newton direction, False for the fallback).
     """
 
     x: np.ndarray
@@ -126,8 +112,6 @@ class IterateState:
     prev_support: np.ndarray
     value: float
     grad: np.ndarray
-    newton: tuple = None
-    failed: set = field(default_factory=set)
 
 
 def select_support(x, grad, eta, s):
@@ -161,25 +145,9 @@ def newton_direction(state, model, lcp, eta):
     dropped from the previous working set, and sets d = -x off T.  Returns
     None if the system is singular or d fails the descent margin test
         <grad_T, d_T> <= -gamma ||d||^2 + ||x_offT||^2 / (4 eta),
-    with gamma = 1e-10 when x vanishes off T and 1e-4 otherwise, and eta
-    the threshold step in effect.  Only the test reads eta, so the solve
-    is kept in state.newton and a later call on the same state with a
-    smaller eta reruns the test alone.
+    with gamma = 1e-10 when x vanishes off T and 1e-4 otherwise.  eta is
+    read by this test alone.
     """
-    if state.newton is None:
-        state.newton = _newton_solve(state, model, lcp)
-    d, slope, d_sq, off_sq = state.newton
-    if d is None:
-        return None
-    gamma = _GAMMA_INACTIVE if off_sq == 0.0 else _GAMMA_ACTIVE
-    if slope <= -gamma * d_sq + off_sq / (4.0 * eta):
-        return d
-    return None
-
-
-def _newton_solve(state, model, lcp):
-    """The eta-free part of newton_direction: (d, <grad_T, d_T>, ||d||^2,
-    ||x_offT||^2), with d None when the system is singular."""
     x, y, g, t = state.x, state.y, state.grad, state.support
     rhs = -g[t]
     j = np.setdiff1d(state.prev_support, t)
@@ -192,12 +160,16 @@ def _newton_solve(state, model, lcp):
         dt = dense_solve(mer.merit_hessian(model, inst, x, t, t, y=y,
                                            scale=scale), rhs)
     except SingularError:
-        return None, None, None, None
+        return None
     d = -x
     d[t] = dt
     off = np.ones(x.shape[0], dtype=bool)
     off[t] = False
-    return d, np.dot(g[t], dt), np.dot(d, d), float(np.sum(x[off] ** 2))
+    off_sq = float(np.sum(x[off] ** 2))
+    gamma = _GAMMA_INACTIVE if off_sq == 0.0 else _GAMMA_ACTIVE
+    if np.dot(g[t], dt) <= -gamma * np.dot(d, d) + off_sq / (4.0 * eta):
+        return d
+    return None
 
 
 def fallback_direction(state):
@@ -307,11 +279,11 @@ def solve(inst, model, config, x0=None, callback=None):
     out, in the units of (M, q), while objective, residual, f_trace and
     callback's f are those of the equilibrated problem.
 
-    A failed line search halves eta and retries the iteration, under the
-    rules the module docstring sets out.  The one selection and residual
-    at the head of each iteration serve every exit, tested as residual
-    (skipped right after a stalled step), certificate, stall, then
-    iteration cap.  The finish runs at most once per iterate, before its
+    A failed line search halves eta and retries the iteration from the
+    same point, as the module docstring sets out.  The one selection and
+    residual at the head of each iteration serve every exit, tested as
+    residual (skipped right after a stalled step), certificate, stall,
+    then iteration cap.  The finish runs at most once per iterate, before its
     first Newton step; a certified point it returns is an iterate like
     any other: f_trace and callback see it, and the report's support is
     its top-s set.
@@ -320,7 +292,7 @@ def solve(inst, model, config, x0=None, callback=None):
     s = config.s
     if not 1 <= s <= n:
         raise ValueError("s out of range for this instance")
-    eta = config.eta_for(n)
+    eta = float(config.eta)
     lcp = Equilibrated.of(inst)
     if x0 is None:
         u = np.zeros(n)
@@ -373,17 +345,13 @@ def solve(inst, model, config, x0=None, callback=None):
                     logger.debug("iter %d: finish certified f=%.9e",
                                  k + 1, f_f)
         if step is None:
-            if state is None or not np.array_equal(T, state.support):
-                state = IterateState(u, v, T, prev_T, f, g)
+            state = IterateState(u, v, T, prev_T, f, g)
             d = newton_direction(state, model, lcp, eta)
             used_newton = d is not None
-            searched = None
-            if used_newton not in state.failed:
-                if d is None:
-                    d = fallback_direction(state)
-                searched = line_search(state, d, model, lcp)
+            if d is None:
+                d = fallback_direction(state)
+            searched = line_search(state, d, model, lcp)
             if searched is None:
-                state.failed.add(used_newton)
                 backtracks += _MAX_BACKTRACKS + 1
                 if eta <= eta_floor:
                     termination = Termination.LINE_SEARCH_FAILED

@@ -305,7 +305,7 @@ def test_criterion_8f_residual_stop_implies_stationarity():
         x = rep.x
         g = merit_gradient(PHI2, inst, x)
         supp = np.nonzero(x)[0]
-        eta = cfg.eta_for(n)
+        eta = cfg.eta
         if len(supp) < s:
             ok &= np.abs(g).max() <= delta
         else:

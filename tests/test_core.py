@@ -200,10 +200,9 @@ def test_solver_config_validation():
 
 
 def test_eta_default_is_two_at_every_dimension():
-    cfg = SolverConfig(s=1)
-    assert cfg.eta_for(1000) == 2.0
-    assert cfg.eta_for(1001) == 2.0
-    assert SolverConfig(s=1, eta=0.25).eta_for(10**6) == 0.25
+    # eta is one number in equilibrated units, whatever n
+    assert SolverConfig(s=1).eta == 2.0
+    assert SolverConfig(s=1, eta=0.25).eta == 0.25
 
 
 def test_termination_values_are_stable_strings():
