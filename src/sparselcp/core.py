@@ -293,36 +293,42 @@ def save_instance(inst, path):
             np.savetxt(fh, inst.ground_truth[None], fmt="%.17g")
 
 
-def _parse(lines, ndmin):
-    # comments=None keeps a stray '#' a parse error rather than a comment
-    return np.loadtxt(lines, ndmin=ndmin, comments=None)
+def _parse(lines, ndmin, max_rows=None):
+    # comments=None keeps a stray '#' a parse error rather than a comment;
+    # input with no rows comes back empty, and the shape checks reject it
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, ndmin=ndmin, comments=None,
+                          max_rows=max_rows)
 
 
 def load_instance(path):
-    """Inverse of save_instance."""
+    """Inverse of save_instance; blank lines anywhere are skipped.  M is
+    parsed straight from the file's lines as they are read, so the load
+    holds no copy of the text beyond what the parser buffers."""
     with open(path) as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
-    if not lines:
-        raise ValueError("empty instance file")
-    n = int(lines[0])
-    if n < 1:
-        raise ValueError("n must be positive")
-    if len(lines) < n + 2:
-        raise ValueError("truncated instance file")
-    M = _parse(lines[1:n + 1], 2)
-    if M.shape != (n, n):
-        raise ValueError("bad matrix row length")
-    q = _parse(lines[n + 1:n + 2], 1)
-    if q.shape != (n,):
-        raise ValueError("bad q length")
-    gt = None
-    if len(lines) > n + 2:
-        tail = lines[n + 2]
-        if len(lines) > n + 3 or not tail.startswith("x*:"):
-            raise ValueError("unrecognized trailing line")
-        if tail == "x*:":  # loadtxt would only warn on the empty line
-            raise ValueError("empty ground-truth line")
-        gt = _parse([tail[3:]], 1)
-        if gt.shape != (n,):
-            raise ValueError("bad ground-truth length")
+        lines = (ln for ln in map(str.strip, fh) if ln)
+        head = next(lines, None)
+        if head is None:
+            raise ValueError("empty instance file")
+        n = int(head)
+        if n < 1:
+            raise ValueError("n must be positive")
+        M = _parse(lines, 2, max_rows=n)
+        row_q = next(lines, None)
+        if M.shape[0] < n or row_q is None:
+            raise ValueError("truncated instance file")
+        if M.shape != (n, n):
+            raise ValueError("bad matrix row length")
+        q = _parse([row_q], 1)
+        if q.shape != (n,):
+            raise ValueError("bad q length")
+        gt = None
+        tail = next(lines, None)
+        if tail is not None:
+            if next(lines, None) is not None or not tail.startswith("x*:"):
+                raise ValueError("unrecognized trailing line")
+            gt = _parse([tail[3:]], 1)
+            if gt.shape != (n,):
+                raise ValueError("bad ground-truth length")
     return LcpInstance(M, q, ground_truth=gt)

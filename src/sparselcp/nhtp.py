@@ -17,13 +17,13 @@ Each iteration's head tests, in order: the stationarity residual (unless
 the last step stalled), the certificate of core.certificate at 1e-12,
 the objective stall, and the iteration cap.  The first that holds ends
 the solve as RESIDUAL_MET, CERTIFIED, OBJECTIVE_STALLED or
-ITERATION_CAP.  Otherwise, once per iterate, a short block principal
-pivoting finish (_finish) tries to turn the current support into an
-exact solution of the LCP; when it certifies one that does not raise
-the merit, that point becomes the next iterate and the head ends the
-solve.  The certificate, not the residual, ends many solves at a
-solution: degenerate rows with y_i ~ 0 can keep the residual above
-tol there.
+ITERATION_CAP.  Otherwise, at the first pass at each iterate (an eta
+retry from the same point skips it), a short block principal pivoting
+finish (_finish) tries to turn the current support into an exact
+solution of the LCP; when it certifies one that does not raise the
+merit, that point becomes the next iterate and the head ends the solve.
+The certificate, not the residual, ends many solves at a solution:
+degenerate rows with y_i ~ 0 can keep the residual above tol there.
 
 The solver runs in equilibrated units (Equilibrated): it iterates on
 u = x / nu for the LCP (M / mu, q / rho), with mu = max |M_ij| (1 when
@@ -98,22 +98,6 @@ class Equilibrated:
         return cls(inst, 1.0 / mu, inst.q / rho, rho / mu)
 
 
-@dataclass(frozen=True)
-class IterateState:
-    """One solver iterate: the point, its working sets and derivatives.
-
-    support is the current selection T_k and prev_support the set T_{k-1}
-    whose coordinates may still be nonzero in x, both sorted index arrays.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    support: np.ndarray
-    prev_support: np.ndarray
-    value: float
-    grad: np.ndarray
-
-
 def select_support(x, grad, eta, s):
     """Working set: indices of the s largest |x - eta * grad| entries."""
     return top_s_by_magnitude(x - eta * grad, s)
@@ -138,69 +122,62 @@ def residual(x, grad, T, eta, s):
     return first + max(slack, 0.0)
 
 
-def newton_direction(state, model, lcp, eta):
-    """Restricted Newton direction, or None when the fallback must run.
+def newton_direction(x, y, g, T, prev_T, model, lcp, eta):
+    """Restricted Newton direction at x (y = M x / mu + q / rho, gradient
+    g), or None when the fallback must run.
 
-    Solves H[T,T] d_T = H[T,J] x_J - grad_T with J the coordinates being
-    dropped from the previous working set, and sets d = -x off T.  Returns
-    None if the system is singular or d fails the descent margin test
-        <grad_T, d_T> <= -gamma ||d||^2 + ||x_offT||^2 / (4 eta),
+    Solves H[T,T] d_T = H[T,J] x_J - g_T with J = prev_T minus T, the
+    coordinates being dropped from the previous working set, and sets
+    d = -x off T.  T and prev_T are sorted index arrays.  Returns None if
+    the system is singular or d fails the descent margin test
+        <g_T, d_T> <= -gamma ||d||^2 + ||x_offT||^2 / (4 eta),
     with gamma = 1e-10 when x vanishes off T and 1e-4 otherwise.  eta is
     read by this test alone.
     """
-    x, y, g, t = state.x, state.y, state.grad, state.support
-    rhs = -g[t]
-    j = np.setdiff1d(state.prev_support, t)
+    off = np.ones(x.shape[0], dtype=bool)
+    off[T] = False
+    j = prev_T[off[prev_T]]
     xj = x[j]
+    rhs = -g[T]
     inst, scale = lcp.inst, lcp.scale
     if np.any(xj != 0.0):
-        rhs = rhs + mer.merit_hessian(model, inst, x, t, j, y=y,
+        rhs = rhs + mer.merit_hessian(model, inst, x, T, j, y=y,
                                       scale=scale) @ xj
     try:
-        dt = dense_solve(mer.merit_hessian(model, inst, x, t, t, y=y,
+        dt = dense_solve(mer.merit_hessian(model, inst, x, T, T, y=y,
                                            scale=scale), rhs)
     except SingularError:
         return None
     d = -x
-    d[t] = dt
-    off = np.ones(x.shape[0], dtype=bool)
-    off[t] = False
+    d[T] = dt
     off_sq = float(np.sum(x[off] ** 2))
     gamma = _GAMMA_INACTIVE if off_sq == 0.0 else _GAMMA_ACTIVE
-    if np.dot(g[t], dt) <= -gamma * np.dot(d, d) + off_sq / (4.0 * eta):
+    if np.dot(g[T], dt) <= -gamma * np.dot(d, d) + off_sq / (4.0 * eta):
         return d
     return None
 
 
-def fallback_direction(state):
-    """Restricted steepest descent: -grad on T, -x off T."""
-    d = -state.x
-    d[state.support] = -state.grad[state.support]
-    return d
-
-
-def line_search(state, direction, model, lcp):
-    """Armijo backtracking along the support-restricted update.
+def line_search(x, f, g, T, direction, model, lcp):
+    """Armijo backtracking along the support-restricted update from x,
+    with merit f and gradient g, keeping the sorted index array T.
 
     Tries alpha = 0.5^t for t = 0..50 against
-    f(x(alpha)) <= f(x) + 1e-4 * alpha * <grad f(x), d>.  The products
+    f(x(alpha)) <= f + 1e-4 * alpha * <g, d>.  The products
     y0 = M[:, T] x_T / mu + q / rho and dy = M[:, T] d_T / mu are formed
     once (1 / mu rides on x_T and d_T), and each trial takes
     y(alpha) = y0 + alpha dy in O(n).  Returns
     (alpha, x_new, y_new, f_new, t) or None when every alpha fails.
     """
-    x, g, f = state.x, state.grad, state.value
-    t_idx = state.support
     slope = float(np.dot(g, direction))
-    cols = lcp.inst.columns(t_idx)
-    xt = x[t_idx]
-    dt = direction[t_idx]
+    cols = lcp.inst.columns(T)
+    xt = x[T]
+    dt = direction[T]
     y0 = cols @ (lcp.scale * xt) + lcp.q
     dy = cols @ (lcp.scale * dt)
     alpha = 1.0
     for t in range(_MAX_BACKTRACKS + 1):
         x_new = np.zeros_like(x)
-        x_new[t_idx] = xt + alpha * dt
+        x_new[T] = xt + alpha * dt
         y_new = y0 + alpha * dy
         f_new = mer.value_from_xy(model, x_new, y_new)
         if f_new <= f + _SIGMA * alpha * slope:
@@ -216,19 +193,18 @@ def _finish(lcp, x, s):
     M and q stand for M / mu and q / rho.
 
     Each pass solves M_FF z = -q_F and sets x_f = z on F, 0 off it, and
-    y_f = M[:, F] z + q.  Every index with z_i < -tau in F, or y_i < -tau
-    off F, then swaps sides, tau = 1e-12 max(1, ||q||_inf): rounding
-    leaves the off-support y_i of a degenerate solution near -1e-13, not
-    at 0.  Once the number of such indices stops falling, only the
-    largest of them swaps (Murty's rule).  F never outgrows s: when too
-    many indices would enter, those with the most negative y_i do.  z is
-    never clipped.  Gives up when F is empty, when M_FF is singular,
-    when no index can swap, or after 10 passes.  With no swap this is
+    y_f = M[:, F] z + q.  Every index with z_i < -1e-12 in F, or
+    y_i < -1e-12 off F, then swaps sides: rounding leaves the off-support
+    y_i of a degenerate solution near -1e-13, not at 0.  Once the number
+    of such indices stops falling, only the largest of them swaps
+    (Murty's rule).  F never outgrows s: when too many indices would
+    enter, those with the most negative y_i do.  z is never clipped.
+    Gives up when F is empty, when M_FF is singular, when no index can
+    swap, or after 10 passes.  With no swap this is
     the hard-thresholding pursuit polish (Foucart, SIAM J. Numer. Anal.
     2011); the swaps follow Judice & Pires (Comput. Oper. Res. 1994).
     """
     q, scale = lcp.q, lcp.scale
-    tau = _CERT_TOL * max(1.0, float(np.abs(q).max()))
     inside = x > 0.0
     fewest = np.inf
     for _ in range(_FINISH_PASSES):
@@ -244,7 +220,9 @@ def _finish(lcp, x, s):
         x_f = np.zeros_like(x)
         x_f[F] = z
         violation = -np.where(inside, x_f, y)
-        bad = np.flatnonzero(violation > tau)
+        # the swap tolerance 1e-12 max(1, ||q||_inf) is 1e-12 itself:
+        # q here is q / rho with rho = max(1, ||q||_inf), so ||q||_inf <= 1
+        bad = np.flatnonzero(violation > _CERT_TOL)
         if bad.size == 0:
             return (x_f, y) if certificate(x_f, y, q) <= _CERT_TOL else None
         if bad.size < fewest:
@@ -283,10 +261,11 @@ def solve(inst, model, config, x0=None, callback=None):
     same point, as the module docstring sets out.  The one selection and
     residual at the head of each iteration serve every exit, tested as
     residual (skipped right after a stalled step), certificate, stall,
-    then iteration cap.  The finish runs at most once per iterate, before its
-    first Newton step; a certified point it returns is an iterate like
-    any other: f_trace and callback see it, and the report's support is
-    its top-s set.
+    then iteration cap.  The finish runs once per iterate, before its
+    first Newton step: a flag set when it runs and cleared by each step
+    keeps eta retries from running it again.  A certified point it
+    returns is an iterate like any other: f_trace and callback see it,
+    and the report's support is its top-s set.
     """
     n = inst.n
     s = config.s
@@ -303,11 +282,13 @@ def solve(inst, model, config, x0=None, callback=None):
         _check_finite(x, "x0")
         u = x / lcp.nu
     prev_T = top_s_by_magnitude(u, s)
-    u[np.setdiff1d(np.arange(n), prev_T)] = 0.0
+    kept = u[prev_T]
+    u[:] = 0.0
+    u[prev_T] = kept
     t_start = time.perf_counter()
     eta_floor = eta * 2.0**-40
     # from zero, v is q / rho itself: skip the n^2 product
-    v = lcp.q.copy() if x0 is None else inst.M @ (lcp.scale * u) + lcp.q
+    v = lcp.q if x0 is None else inst.M @ (lcp.scale * u) + lcp.q
     f = mer.value_from_xy(model, u, v)
     g = mer.gradient_from_xy(model, inst.M, u, v, scale=lcp.scale)
     trace = [f]
@@ -318,7 +299,7 @@ def solve(inst, model, config, x0=None, callback=None):
                 model.kind, f)
     backtracks = 0
     k = 0
-    state = None  # None exactly on the first pass at each iterate
+    finish_tried = False  # _finish runs once per iterate
     stalled = False
     while True:
         T = select_support(u, g, eta, s)
@@ -336,7 +317,8 @@ def solve(inst, model, config, x0=None, callback=None):
             termination = Termination.ITERATION_CAP
             break
         step = None
-        if state is None:
+        if not finish_tried:
+            finish_tried = True
             polished = _finish(lcp, u, s)
             if polished is not None:
                 f_f = mer.value_from_xy(model, *polished)
@@ -345,12 +327,12 @@ def solve(inst, model, config, x0=None, callback=None):
                     logger.debug("iter %d: finish certified f=%.9e",
                                  k + 1, f_f)
         if step is None:
-            state = IterateState(u, v, T, prev_T, f, g)
-            d = newton_direction(state, model, lcp, eta)
+            d = newton_direction(u, v, g, T, prev_T, model, lcp, eta)
             used_newton = d is not None
-            if d is None:
-                d = fallback_direction(state)
-            searched = line_search(state, d, model, lcp)
+            if d is None:  # restricted steepest descent
+                d = -u
+                d[T] = -g[T]
+            searched = line_search(u, f, g, T, d, model, lcp)
             if searched is None:
                 backtracks += _MAX_BACKTRACKS + 1
                 if eta <= eta_floor:
@@ -368,7 +350,7 @@ def solve(inst, model, config, x0=None, callback=None):
         u_new, v_new, f_new, prev_T = step
         stalled = abs(f_new - f) < _OBJ_TOL * (1.0 + abs(f))
         u, v, f = u_new, v_new, f_new
-        state = None
+        finish_tried = False
         k += 1
         trace.append(f)
         if callback is not None:

@@ -1,5 +1,7 @@
 """Tests for core types, dense solves, thresholding, and instance files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,13 +302,38 @@ def test_instance_file_errors(tmp_path):
         load_instance(comment)
 
 
+def test_instance_load_streams_and_skips_blank_lines(tmp_path):
+    # M is parsed from the lines as they are read, so the load peaks at
+    # about one M; blank lines between the rows, before q or before x*
+    # change nothing
+    inst = generate(GeneratorSpec("sdp_gaussian", 300, seed=0))
+    path = tmp_path / "inst.txt"
+    save_instance(inst, path)
+    tracemalloc.start()
+    try:
+        back = load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * inst.M.nbytes
+    assert np.array_equal(back.M, inst.M)
+    lines = path.read_text().splitlines()
+    spaced = tmp_path / "spaced.txt"
+    spaced.write_text("\n\n".join(lines[:3]) + "\n\n   \n"
+                      + "\n".join(lines[3:-2]) + "\n\n" + lines[-2]
+                      + "\n\t\n" + lines[-1] + "\n\n")
+    again = load_instance(spaced)
+    assert np.array_equal(again.M, inst.M)
+    assert np.array_equal(again.q, inst.q)
+    assert np.array_equal(again.ground_truth, inst.ground_truth)
+
+
 def test_package_exports_resolve():
     for name in sparselcp.__all__:
         assert hasattr(sparselcp, name), name
     # solver internals and test-only helpers stay off the package root
     for name in ("SingularError", "dense_solve", "top_s_by_magnitude",
-                 "Tableau", "IterateState", "fallback_direction",
-                 "line_search", "newton_direction", "residual",
+                 "Tableau", "line_search", "newton_direction", "residual",
                  "select_support", "Rng", "CombinatorialLimit",
                  "is_ps_matrix", "is_psd", "is_z_matrix"):
         assert not hasattr(sparselcp, name), name

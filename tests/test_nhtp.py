@@ -11,9 +11,8 @@ from sparselcp.core import (LcpInstance, SolverConfig, Termination,
                             certificate, top_s_by_magnitude)
 from sparselcp.merit import (MeritModel, gradient_from_xy, merit_gradient,
                              merit_value, value_from_xy)
-from sparselcp.nhtp import (Equilibrated, IterateState, fallback_direction,
-                            line_search, newton_direction, residual,
-                            select_support, solve)
+from sparselcp.nhtp import (Equilibrated, line_search, newton_direction,
+                            residual, select_support, solve)
 from sparselcp.problems import GeneratorSpec, generate, is_success
 from sparselcp.tuning import TuningConfig, nhtpt_solve
 
@@ -21,22 +20,21 @@ PHI2 = MeritModel.phi_r(2)
 
 
 def one_dim_state(M_val, q_val, u_val, s=1):
-    """The equilibrated one-dimensional LCP and its iterate at u."""
+    """The equilibrated one-dimensional LCP and its iterate at u:
+    (lcp, u, v, f, g, T)."""
     lcp = Equilibrated.of(LcpInstance(np.array([[M_val]]), np.array([q_val])))
     u = np.array([float(u_val)])
     v = lcp.scale * lcp.inst.M @ u + lcp.q
-    T = np.arange(s)
-    return lcp, IterateState(
-        x=u, y=v, support=T, prev_support=T,
-        value=value_from_xy(PHI2, u, v),
-        grad=gradient_from_xy(PHI2, lcp.inst.M, u, v, scale=lcp.scale))
+    return (lcp, u, v, value_from_xy(PHI2, u, v),
+            gradient_from_xy(PHI2, lcp.inst.M, u, v, scale=lcp.scale),
+            np.arange(s))
 
 
 def test_equilibration_scales():
     # mu = max |M_ij| = 2 and rho = max(1, ||q||_inf) = 3, so the solver
     # runs on M / 2, q / 3 and hands out x = (3 / 2) u; a zero M scales
     # by 1 and a small q by 1
-    lcp, _ = one_dim_state(2.0, -3.0, 2.0)
+    lcp = one_dim_state(2.0, -3.0, 2.0)[0]
     assert (lcp.scale, lcp.q.tolist(), lcp.nu) == (0.5, [-1.0], 1.5)
     flat = Equilibrated.of(LcpInstance(np.zeros((2, 2)),
                                        np.array([0.5, -0.25])))
@@ -47,16 +45,16 @@ def test_newton_direction_worked_example():
     # M = [[2]], q = [-3] equilibrate to [[1]], [-1].  At u = 2, v = 1:
     # gradient 6, Hessian 13, no dropped coordinates, so the direction
     # solves 13 d = -6
-    lcp, state = one_dim_state(2.0, -3.0, 2.0)
-    d = newton_direction(state, PHI2, lcp, 5.0)
+    lcp, u, v, _, g, T = one_dim_state(2.0, -3.0, 2.0)
+    d = newton_direction(u, v, g, T, T, PHI2, lcp, 5.0)
     assert d is not None
     assert d[0] == pytest.approx(-6.0 / 13.0, rel=1e-14)
 
 
 def test_residual_worked_example():
     # full support (s = n): residual is just the gradient norm
-    _, state = one_dim_state(2.0, -3.0, 2.0)
-    assert residual(state.x, state.grad, state.support, 5.0, 1) == 6.0
+    _, u, _, _, g, T = one_dim_state(2.0, -3.0, 2.0)
+    assert residual(u, g, T, 5.0, 1) == 6.0
 
 
 def test_residual_off_support_charge():
@@ -76,13 +74,31 @@ def test_select_support_uses_gradient_step():
     assert T.size == 1
 
 
-def test_fallback_direction_shape():
-    inst = LcpInstance(np.eye(2), np.zeros(2))
-    state = IterateState(x=np.array([2.0, 1.0]), y=np.zeros(2),
-                         support=np.array([0]), prev_support=np.array([0, 1]),
-                         value=0.0, grad=np.array([10.0, 7.0]))
-    d = fallback_direction(state)
-    assert d.tolist() == [-10.0, -1.0]
+def test_fallback_direction_is_restricted_steepest_descent(monkeypatch):
+    # with every Newton direction refused, each search runs along -g on T
+    # and -u off T; on this draw the working set moves while the descent
+    # crawls, so some searches drop a nonzero coordinate of u
+    seen = []
+    real = nhtp.line_search
+
+    def search(x, f, g, T, direction, model, lcp):
+        seen.append((x.copy(), g.copy(), T.copy(), direction.copy()))
+        return real(x, f, g, T, direction, model, lcp)
+
+    monkeypatch.setattr(nhtp, "newton_direction", lambda *args: None)
+    monkeypatch.setattr(nhtp, "line_search", search)
+    inst = generate(GeneratorSpec("sdp_gaussian", 40, s_star=4, m=20,
+                                  seed=1))
+    solve(inst, PHI2, SolverConfig(s=4))
+    assert len(seen) > 1
+    dropped = 0
+    for x, g, T, d in seen:
+        off = np.ones(x.size, dtype=bool)
+        off[T] = False
+        assert np.array_equal(d[T], -g[T])
+        assert np.array_equal(d[off], -x[off])
+        dropped += np.any(x[off] != 0.0)
+    assert dropped > 0
 
 
 def test_line_search_accepts_descent_and_rejects_ascent():
@@ -94,21 +110,19 @@ def test_line_search_accepts_descent_and_rejects_ascent():
     g = merit_gradient(PHI2, inst, x)
     assert f == 0.5 and g[0] == 2.0
     T = np.array([0])
-    state = IterateState(x=x, y=inst.M @ x + inst.q, support=T,
-                         prev_support=T, value=f, grad=g)
     lcp = Equilibrated.of(inst)  # unit scales: the LCP itself
-    step = line_search(state, np.array([-1.0]), PHI2, lcp)
+    step = line_search(x, f, g, T, np.array([-1.0]), PHI2, lcp)
     assert step is not None
     alpha, x_new, y_new, f_new, bt = step
     assert alpha == 1.0 and bt == 0
     assert x_new[0] == 0.0 and y_new[0] == 0.0 and f_new == 0.0
-    assert line_search(state, np.array([1.0]), PHI2, lcp) is None
+    assert line_search(x, f, g, T, np.array([1.0]), PHI2, lcp) is None
     # the fixed Armijo constants: along d = -4, alpha = 1 gives x = -3,
     # f = 9, and alpha = 1/2 gives x = -1, f = 1, both above
     # 0.5 - 1e-4 * 8 alpha; the second halving, alpha = 1/4, reaches
     # x = 0, f = 0.  So the trials are 1, 1/2, 1/4: beta = 0.5
-    alpha, x_new, y_new, f_new, bt = line_search(state, np.array([-4.0]),
-                                                 PHI2, lcp)
+    alpha, x_new, y_new, f_new, bt = line_search(x, f, g, T,
+                                                 np.array([-4.0]), PHI2, lcp)
     assert alpha == 0.25 and bt == 2
     assert x_new[0] == 0.0 and y_new[0] == 0.0 and f_new == 0.0
 
@@ -118,11 +132,9 @@ def test_line_search_zeroes_coordinates_off_support():
     # of x is dropped exactly, not shrunk
     inst = LcpInstance(np.eye(2), np.array([-1.0, -1.0]))
     x = np.array([0.5, 1e-8])
-    state = IterateState(x=x, y=inst.M @ x + inst.q, support=np.array([0]),
-                         prev_support=np.array([0, 1]),
-                         value=merit_value(PHI2, inst, x),
-                         grad=merit_gradient(PHI2, inst, x))
-    step = line_search(state, np.array([0.5, 0.0]), PHI2,
+    step = line_search(x, merit_value(PHI2, inst, x),
+                       merit_gradient(PHI2, inst, x), np.array([0]),
+                       np.array([0.5, 0.0]), PHI2,
                        Equilibrated.of(inst))  # unit scales
     assert step is not None
     assert step[1][0] == 1.0  # full step on the supported coordinate
