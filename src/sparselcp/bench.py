@@ -27,6 +27,7 @@ s_selection
 """
 
 import logging
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ class GridPoint:
         MeritModel.phi_r(self.r)  # raises on an r phi_r does not take
         for name in ("s_star", "s"):
             value = getattr(self, name)
-            if value is not None and not 1 <= value <= self.n:
+            if value is not None and not 1 <= operator.index(value) <= self.n:
                 raise ValueError(f"{name} must lie in [1, n]")
 
 

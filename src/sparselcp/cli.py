@@ -13,9 +13,9 @@ max(||x_-||, ||y_-||, ||x * y||) / max(1, ||q||) in inf-norms, with
 y = M x + q computed from the printed x (core.certificate), which drops
 the entries core.support_mask reads as round-off.  It needs no
 ground truth; a solve ends `certified` when its own certificate is at
-most 1e-12.  The printed objective and residual are those of the LCP
-the solver runs on, (M, q) divided by the scales of nhtp.Equilibrated,
-the units --eta and --tol live in; x is in the units of the file.
+most 1e-12.  The printed objective and residual, like --eta and --tol,
+are in the equilibrated LCP (M / m_scale, q / q_scale) that nhtp.solve
+runs on; x is in the units of the file.
 
 Exit codes: 0 on success, 2 when the solver or pivoting run ends in a
 failure state (ray termination, pivot limit, failed line search), 1 on
@@ -72,6 +72,13 @@ def _given(args, *names):
             if getattr(args, name) is not None}
 
 
+def _merit(args):
+    """The --merit model; --r is a usage error where it does nothing."""
+    if args.r is not None and args.merit != "phi_r":
+        raise ValueError(f"--r applies to --merit phi_r, not {args.merit}")
+    return MeritModel(args.merit, **_given(args, "r"))
+
+
 _SOLVER_FLAGS = ("eta", "tol", "max_iter")
 
 
@@ -125,6 +132,7 @@ def _cmd_gen(args):
 
 
 def _cmd_solve(args):
+    model = _merit(args)
     inst = load_instance(args.instance)
     x0 = None
     s = args.s
@@ -147,7 +155,7 @@ def _cmd_solve(args):
         print("--s is required unless --warm-start-lemke sets it",
               file=sys.stderr)
         return 1
-    report = nhtp.solve(inst, MeritModel(args.merit, **_given(args, "r")),
+    report = nhtp.solve(inst, model,
                         SolverConfig(s=s, **_given(args, *_SOLVER_FLAGS)),
                         x0=x0)
     _print_report(inst, report)
@@ -155,10 +163,10 @@ def _cmd_solve(args):
 
 
 def _cmd_tune(args):
+    model = _merit(args)
     inst = load_instance(args.instance)
     report, rounds = nhtpt_solve(
-        inst, MeritModel(args.merit, **_given(args, "r")),
-        SolverConfig(s=1, **_given(args, *_SOLVER_FLAGS)),
+        inst, model, SolverConfig(s=1, **_given(args, *_SOLVER_FLAGS)),
         TuningConfig(**_given(args, "s0", "rho", "eps", "max_rounds")))
     print(f"rounds:      {rounds}")
     print(f"final s:     {report.support.size}")

@@ -10,6 +10,7 @@ results do not depend on which one ran.
 """
 
 import enum
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -62,11 +63,11 @@ class LcpInstance:
     q_scale : max(1, ||q||_inf); set from q
 
     M, q and ground_truth must be finite; ValueError otherwise.  The two
-    scales come from the same sweeps as that check, and the pursuit
-    solver divides M and q by them (nhtp.Equilibrated).  The
-    instance takes ownership of a float64 array that owns its data: it
-    keeps that array without a copy and makes it read-only.  Anything
-    else (a list, another dtype, a view) is copied.
+    scales come from the same sweeps as that check, and nhtp.solve runs
+    on the equilibrated LCP (M / m_scale, q / q_scale).  The instance
+    takes ownership of a float64 array that owns its data: it keeps that
+    array without a copy and makes it read-only.  Anything else (a list,
+    another dtype, a view) is copied.
     """
 
     M: np.ndarray
@@ -133,13 +134,13 @@ class SolverConfig:
     tol : halting threshold on the stationarity residual, finite
     max_iter : outer iteration cap
 
-    eta and tol live in the solver's equilibrated units: it runs on the
-    LCP (M / m_scale, q / q_scale) of LcpInstance (nhtp.Equilibrated), so
-    the same eta fits every scale of M and q.  Of eta = 0.5, 1, 2, 3 and
-    5, the values 0.5, 2 and 5 recovered all 93 planted solutions of
-    phi_2, phi_3 and psi2 at s = s* on sdp_gaussian, sdp_uniform and
-    zmatrix (n = 1000 and 5000).  On 24 phi_2 solves of sdp_gaussian at
-    n = 5000, 5 halved eta and 2 was faster than 0.5, never halving.
+    eta and tol are in the equilibrated LCP (M / m_scale, q / q_scale)
+    that nhtp.solve runs on, so the same eta fits every scale of M and q.
+    Of eta = 0.5, 1, 2, 3 and 5, the values 0.5, 2 and 5 recovered all 93
+    planted solutions of phi_2, phi_3 and psi2 at s = s* on sdp_gaussian,
+    sdp_uniform and zmatrix (n = 1000 and 5000).  On 24 phi_2 solves of
+    sdp_gaussian at n = 5000, 5 halved eta and 2 was faster than 0.5,
+    never halving.
 
     The Armijo slope fraction (1e-4) and backtracking shrink factor (0.5),
     the descent-test curvature floors, the objective-stall threshold and
@@ -152,7 +153,7 @@ class SolverConfig:
     max_iter: int = 2000
 
     def __post_init__(self):
-        if self.s < 1:
+        if operator.index(self.s) < 1:
             raise ValueError("s must be at least 1")
         if not 0 < self.eta < np.inf:
             raise ValueError("eta must be positive and finite")
@@ -192,8 +193,8 @@ class SolveReport:
     CERTIFIED, or a small certificate() of x, shows that.
 
     x is in the units of the instance's (M, q).  objective, f_trace and
-    residual are those of the equilibrated LCP the solver ran on
-    (nhtp.Equilibrated), the units SolverConfig's eta and tol live in.
+    residual are in the equilibrated LCP (M / m_scale, q / q_scale) that
+    nhtp.solve runs on, as SolverConfig's eta and tol are.
     """
 
     x: np.ndarray

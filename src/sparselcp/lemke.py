@@ -18,6 +18,7 @@ each pivot is one BLAS rank-1 update (dger) of that body.
 """
 
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +141,7 @@ def lemke_solve(inst, max_pivots=None):
     n = inst.n
     if max_pivots is None:
         max_pivots = 10 * n
-    if max_pivots < 1:
+    if operator.index(max_pivots) < 1:
         raise ValueError("max_pivots must be at least 1")
     q = inst.q
     if np.all(q >= 0):

@@ -25,16 +25,20 @@ merit, that point becomes the next iterate and the head ends the solve.
 The certificate, not the residual, ends many solves at a solution:
 degenerate rows with y_i ~ 0 can keep the residual above tol there.
 
-The solver runs in equilibrated units (Equilibrated): it iterates on
-u = x / nu for the LCP (M / mu, q / rho), with mu = max |M_ij| (1 when
-M = 0), rho = max(1, ||q||_inf) and nu = rho / mu, whose solutions are
-exactly those of (M, q) scaled by 1 / nu.  eta, tol, the residual, the
-certificate test and every merit value the solve reports (objective,
-f_trace, callback's f) are in these units; only the points it hands
-out, the report's x and callback's x, are in the original ones.  So one
-default eta of 2 suits every scale of data: on 24 instances of
-sdp_gaussian at n = 5000 (seeds 0-18) it halves eta 0 times, where an
-eta of 1 on the unscaled data halved it 110-153 times per 8 solves.
+The solver runs in equilibrated units: it iterates on u = x / nu for
+the LCP (M / mu, q / rho), with mu = inst.m_scale = max |M_ij| (1 when
+M = 0), rho = inst.q_scale = max(1, ||q||_inf) and nu = rho / mu.  u
+solves it, with v = M u / mu + q / rho, exactly when x = nu u solves
+(M, q), with y = rho v.  M is never copied: the helpers take the
+instance and scale = 1 / mu, which rides on every product with inst.M,
+the pairing the merit functions use, plus q = q / rho.  eta, tol, the
+residual, the certificate test and every merit value the solve reports
+(objective, f_trace, callback's f) are in these units; only the points
+it hands out, the report's x and callback's x, are in the original
+ones.  So one default eta of 2 suits every scale of data: on 24
+instances of sdp_gaussian at n = 5000 (seeds 0-18) it halves eta 0
+times, where an eta of 1 on the unscaled data halved it 110-153 times
+per 8 solves.
 And f(0) stays finite where ||q||^2 would overflow.
 
 The threshold step eta controls only the working-set selection (and the
@@ -49,12 +53,11 @@ value does the solver give up and report the failed line search.
 
 import logging
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import merit as mer
-from .core import (LcpInstance, SingularError, SolveReport, Termination,
+from .core import (SingularError, SolveReport, Termination,
                    _check_finite, certificate, dense_solve,
                    top_s_by_magnitude)
 
@@ -75,27 +78,6 @@ _MAX_BACKTRACKS = 50
 _CERT_TOL = 1e-12
 # block pivoting passes the finish takes before it gives up
 _FINISH_PASSES = 10
-
-
-@dataclass(frozen=True)
-class Equilibrated:
-    """The LCP (M / mu, q / rho) that the solver iterates on.
-
-    mu = inst.m_scale and rho = inst.q_scale.  u solves it, with
-    v = M u / mu + q / rho, exactly when x = nu u solves (M, q), with
-    y = rho v and nu = rho / mu.  M is never copied: scale = 1 / mu rides
-    on every product with inst.M, and q holds q / rho.
-    """
-
-    inst: LcpInstance
-    scale: float
-    q: np.ndarray
-    nu: float
-
-    @classmethod
-    def of(cls, inst):
-        mu, rho = inst.m_scale, inst.q_scale
-        return cls(inst, 1.0 / mu, inst.q / rho, rho / mu)
 
 
 def select_support(x, grad, eta, s):
@@ -122,7 +104,7 @@ def residual(x, grad, T, eta, s):
     return first + max(slack, 0.0)
 
 
-def newton_direction(x, y, g, T, prev_T, model, lcp, eta):
+def newton_direction(x, y, g, T, prev_T, model, inst, scale, eta):
     """Restricted Newton direction at x (y = M x / mu + q / rho, gradient
     g), or None when the fallback must run.
 
@@ -139,7 +121,6 @@ def newton_direction(x, y, g, T, prev_T, model, lcp, eta):
     j = prev_T[off[prev_T]]
     xj = x[j]
     rhs = -g[T]
-    inst, scale = lcp.inst, lcp.scale
     if np.any(xj != 0.0):
         rhs = rhs + mer.merit_hessian(model, inst, x, T, j, y=y,
                                       scale=scale) @ xj
@@ -157,7 +138,7 @@ def newton_direction(x, y, g, T, prev_T, model, lcp, eta):
     return None
 
 
-def line_search(x, f, g, T, direction, model, lcp):
+def line_search(x, f, g, T, direction, model, inst, scale, q):
     """Armijo backtracking along the support-restricted update from x,
     with merit f and gradient g, keeping the sorted index array T.
 
@@ -169,11 +150,11 @@ def line_search(x, f, g, T, direction, model, lcp):
     (alpha, x_new, y_new, f_new, t) or None when every alpha fails.
     """
     slope = float(np.dot(g, direction))
-    cols = lcp.inst.columns(T)
+    cols = inst.columns(T)
     xt = x[T]
     dt = direction[T]
-    y0 = cols @ (lcp.scale * xt) + lcp.q
-    dy = cols @ (lcp.scale * dt)
+    y0 = cols @ (scale * xt) + q
+    dy = cols @ (scale * dt)
     alpha = 1.0
     for t in range(_MAX_BACKTRACKS + 1):
         x_new = np.zeros_like(x)
@@ -186,7 +167,7 @@ def line_search(x, f, g, T, direction, model, lcp):
     return None
 
 
-def _finish(lcp, x, s):
+def _finish(inst, scale, q, x, s):
     """Block principal pivoting from F = supp(x_+) on the equilibrated
     LCP (M / mu, q / rho): (x_f, y_f) with y_f = M x_f / mu + q / rho, at
     most s nonzeros and a certificate of at most 1e-12, or None.  Below,
@@ -204,14 +185,13 @@ def _finish(lcp, x, s):
     the hard-thresholding pursuit polish (Foucart, SIAM J. Numer. Anal.
     2011); the swaps follow Judice & Pires (Comput. Oper. Res. 1994).
     """
-    q, scale = lcp.q, lcp.scale
     inside = x > 0.0
     fewest = np.inf
     for _ in range(_FINISH_PASSES):
         F = np.flatnonzero(inside)
         if F.size == 0:
             return None
-        cols = lcp.inst.columns(F)
+        cols = inst.columns(F)
         try:
             z = dense_solve(scale * cols[F], -q[F])
         except SingularError:
@@ -252,10 +232,10 @@ def solve(inst, model, config, x0=None, callback=None):
     when given, observes every iterate including the start; it must not
     mutate x.
 
-    The solve iterates on u = x / nu of the equilibrated LCP
-    (Equilibrated); x0 comes in, and the report's x and callback's x go
-    out, in the units of (M, q), while objective, residual, f_trace and
-    callback's f are those of the equilibrated problem.
+    The solve runs on the equilibrated LCP (M / m_scale, q / q_scale) of
+    the module docstring; x0 comes in, and the report's x and callback's
+    x go out, in the units of (M, q), while objective, residual, f_trace
+    and callback's f are those of the equilibrated problem.
 
     A failed line search halves eta and retries the iteration from the
     same point, as the module docstring sets out.  The one selection and
@@ -272,7 +252,8 @@ def solve(inst, model, config, x0=None, callback=None):
     if not 1 <= s <= n:
         raise ValueError("s out of range for this instance")
     eta = float(config.eta)
-    lcp = Equilibrated.of(inst)
+    mu, rho = inst.m_scale, inst.q_scale
+    scale, q, nu = 1.0 / mu, inst.q / rho, rho / mu
     if x0 is None:
         u = np.zeros(n)
     else:
@@ -280,7 +261,7 @@ def solve(inst, model, config, x0=None, callback=None):
         if x.shape != (n,):
             raise ValueError("x0 length must match the instance")
         _check_finite(x, "x0")
-        u = x / lcp.nu
+        u = x / nu
     prev_T = top_s_by_magnitude(u, s)
     kept = u[prev_T]
     u[:] = 0.0
@@ -288,14 +269,14 @@ def solve(inst, model, config, x0=None, callback=None):
     t_start = time.perf_counter()
     eta_floor = eta * 2.0**-40
     # from zero, v is q / rho itself: skip the n^2 product
-    v = lcp.q if x0 is None else inst.M @ (lcp.scale * u) + lcp.q
+    v = q if x0 is None else inst.M @ (scale * u) + q
     f = mer.value_from_xy(model, u, v)
-    g = mer.gradient_from_xy(model, inst.M, u, v, scale=lcp.scale)
+    g = mer.gradient_from_xy(model, inst.M, u, v, scale=scale)
     trace = [f]
     if callback is not None:
-        callback(0, lcp.nu * u, f)
+        callback(0, nu * u, f)
     logger.info("solve start: n=%d s=%d eta=%g mu=%g rho=%g merit=%s "
-                "f0=%.6e", n, s, eta, inst.m_scale, inst.q_scale,
+                "f0=%.6e", n, s, eta, mu, rho,
                 model.kind, f)
     backtracks = 0
     k = 0
@@ -307,7 +288,7 @@ def solve(inst, model, config, x0=None, callback=None):
         if not stalled and res <= config.tol:
             termination = Termination.RESIDUAL_MET
             break
-        if certificate(u, v, lcp.q) <= _CERT_TOL:
+        if certificate(u, v, q) <= _CERT_TOL:
             termination = Termination.CERTIFIED
             break
         if stalled:
@@ -319,7 +300,7 @@ def solve(inst, model, config, x0=None, callback=None):
         step = None
         if not finish_tried:
             finish_tried = True
-            polished = _finish(lcp, u, s)
+            polished = _finish(inst, scale, q, u, s)
             if polished is not None:
                 f_f = mer.value_from_xy(model, *polished)
                 if f_f <= f:
@@ -327,12 +308,12 @@ def solve(inst, model, config, x0=None, callback=None):
                     logger.debug("iter %d: finish certified f=%.9e",
                                  k + 1, f_f)
         if step is None:
-            d = newton_direction(u, v, g, T, prev_T, model, lcp, eta)
+            d = newton_direction(u, v, g, T, prev_T, model, inst, scale, eta)
             used_newton = d is not None
             if d is None:  # restricted steepest descent
                 d = -u
                 d[T] = -g[T]
-            searched = line_search(u, f, g, T, d, model, lcp)
+            searched = line_search(u, f, g, T, d, model, inst, scale, q)
             if searched is None:
                 backtracks += _MAX_BACKTRACKS + 1
                 if eta <= eta_floor:
@@ -354,12 +335,12 @@ def solve(inst, model, config, x0=None, callback=None):
         k += 1
         trace.append(f)
         if callback is not None:
-            callback(k, lcp.nu * u, f)
-        g = mer.gradient_from_xy(model, inst.M, u, v, scale=lcp.scale)
+            callback(k, nu * u, f)
+        g = mer.gradient_from_xy(model, inst.M, u, v, scale=scale)
     wall = time.perf_counter() - t_start
     logger.info("solve end: %s iters=%d f=%.6e res=%.3e time=%.3fs",
                 termination.value, k, f, res, wall)
-    return SolveReport(x=lcp.nu * u, support=prev_T, objective=f,
+    return SolveReport(x=nu * u, support=prev_T, objective=f,
                        residual=res, iterations=k,
                        backtracks_total=backtracks, wall_time=wall,
                        termination=termination, f_trace=trace)

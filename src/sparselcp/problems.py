@@ -33,6 +33,7 @@ Stream consumption order per family is documented on each builder.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,12 +122,13 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.example not in EXAMPLES:
             raise ValueError(f"unknown example {self.example!r}")
-        if self.n < 1:
+        if operator.index(self.n) < 1:
             raise ValueError("n must be positive")
-        if self.s_star is not None and not 1 <= self.s_star <= self.n:
-            raise ValueError("s_star out of range")
-        if self.m is not None and not 1 <= self.m <= self.n:
-            raise ValueError("m out of range")
+        operator.index(self.seed)
+        for name in ("s_star", "m"):
+            value = getattr(self, name)
+            if value is not None and not 1 <= operator.index(value) <= self.n:
+                raise ValueError(f"{name} out of range")
 
     @property
     def resolved_m(self):

@@ -9,6 +9,7 @@ the budget).
 import dataclasses
 import logging
 import math
+import operator
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class TuningConfig:
     max_rounds: int = 30
 
     def __post_init__(self):
-        if self.s0 is not None and self.s0 < 1:
+        if self.s0 is not None and operator.index(self.s0) < 1:
             raise ValueError("s0 must be at least 1")
         if self.rho is not None and not 1 < self.rho < math.inf:
             raise ValueError("rho must be finite and exceed 1")

@@ -42,6 +42,14 @@ def test_grid_point_validation():
     assert GridPoint(40, s_star=40, s=1).s == 1
 
 
+@pytest.mark.parametrize("kw", [{"s": 2.5}, {"s_star": 2.0},
+                                {"s_star": 2, "s": np.float64(1.0)}])
+def test_grid_point_counts_must_be_integers(kw):
+    with pytest.raises(TypeError):
+        GridPoint(40, **kw)
+    assert GridPoint(40, s_star=np.int64(2), s=np.int32(1)).s == 1
+
+
 def test_experiment_spec_validation(tmp_path):
     grid = (GridPoint(10, s_star=1),)
     with pytest.raises(ValueError):

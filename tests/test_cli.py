@@ -210,6 +210,22 @@ def test_non_finite_settings_are_input_errors(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, merit, r", [("solve", "fb", "-7"),
+                                           ("tune", "min", "9"),
+                                           ("solve", "psi2", "2")])
+def test_r_is_a_usage_error_off_phi_r(tmp_path, capsys, cmd, merit, r):
+    # --r is phi_r's exponent: the other merits used to ignore it and
+    # exit 0.  Without --r, and with phi_r, the same run succeeds
+    path = gen_planted(tmp_path)
+    argv = [cmd, "--instance", path, *(["--s", "2"] if cmd == "solve" else [])]
+    capsys.readouterr()
+    assert main([*argv, "--merit", merit, "--r", r]) == 1
+    assert f"--r applies to --merit phi_r, not {merit}" in \
+        capsys.readouterr().err
+    assert main([*argv, "--merit", merit]) == 0
+    assert main([*argv, "--merit", "phi_r", "--r", "3"]) == 0
+
+
 def test_lemke_subcommand_and_ray_exit(tmp_path, capsys):
     path = gen_planted(tmp_path)
     assert main(["lemke", "--instance", path]) == 0

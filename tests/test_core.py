@@ -201,6 +201,14 @@ def test_solver_config_validation():
             SolverConfig(**bad)
 
 
+@pytest.mark.parametrize("s", [2.5, 3.0, np.float64(2.0)])
+def test_solver_config_budget_must_be_an_integer(s):
+    # a float budget used to build and then fail in numpy's partition
+    with pytest.raises(TypeError):
+        SolverConfig(s=s)
+    assert SolverConfig(s=np.int64(3)).s == 3
+
+
 def test_eta_default_is_two_at_every_dimension():
     # eta is one number in equilibrated units, whatever n
     assert SolverConfig(s=1).eta == 2.0

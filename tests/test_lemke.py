@@ -74,6 +74,16 @@ def test_rejects_bad_arguments():
                 lemke_solve(inst, max_pivots=limit)
 
 
+@pytest.mark.parametrize("limit", [2.5, 20.0])
+def test_pivot_budget_must_be_an_integer(limit):
+    # max_pivots = 2.5 used to report "no termination within 2.5 pivots"
+    inst = LcpInstance(np.eye(2), np.array([-1.0, -2.0]))
+    with pytest.raises(TypeError):
+        lemke_solve(inst, max_pivots=limit)
+    x, _ = lemke_solve(inst, max_pivots=np.int64(20))
+    assert np.allclose(x, [1.0, 2.0], atol=1e-12)
+
+
 def test_matches_complementary_basis_enumeration():
     rng = np.random.default_rng(23)
     for _ in range(30):

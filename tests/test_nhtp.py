@@ -11,8 +11,8 @@ from sparselcp.core import (LcpInstance, SolverConfig, Termination,
                             certificate, top_s_by_magnitude)
 from sparselcp.merit import (MeritModel, gradient_from_xy, merit_gradient,
                              merit_value, value_from_xy)
-from sparselcp.nhtp import (Equilibrated, line_search, newton_direction,
-                            residual, select_support, solve)
+from sparselcp.nhtp import (line_search, newton_direction, residual,
+                            select_support, solve)
 from sparselcp.problems import GeneratorSpec, generate, is_success
 from sparselcp.tuning import TuningConfig, nhtpt_solve
 
@@ -21,39 +21,59 @@ PHI2 = MeritModel.phi_r(2)
 
 def one_dim_state(M_val, q_val, u_val, s=1):
     """The equilibrated one-dimensional LCP and its iterate at u:
-    (lcp, u, v, f, g, T)."""
-    lcp = Equilibrated.of(LcpInstance(np.array([[M_val]]), np.array([q_val])))
+    (inst, scale, q, u, v, f, g, T), with scale = 1 / m_scale and
+    q = inst.q / q_scale."""
+    inst = LcpInstance(np.array([[M_val]]), np.array([q_val]))
+    scale, q = 1.0 / inst.m_scale, inst.q / inst.q_scale
     u = np.array([float(u_val)])
-    v = lcp.scale * lcp.inst.M @ u + lcp.q
-    return (lcp, u, v, value_from_xy(PHI2, u, v),
-            gradient_from_xy(PHI2, lcp.inst.M, u, v, scale=lcp.scale),
-            np.arange(s))
+    v = scale * inst.M @ u + q
+    return (inst, scale, q, u, v, value_from_xy(PHI2, u, v),
+            gradient_from_xy(PHI2, inst.M, u, v, scale=scale), np.arange(s))
 
 
-def test_equilibration_scales():
-    # mu = max |M_ij| = 2 and rho = max(1, ||q||_inf) = 3, so the solver
-    # runs on M / 2, q / 3 and hands out x = (3 / 2) u; a zero M scales
-    # by 1 and a small q by 1
-    lcp = one_dim_state(2.0, -3.0, 2.0)[0]
-    assert (lcp.scale, lcp.q.tolist(), lcp.nu) == (0.5, [-1.0], 1.5)
-    flat = Equilibrated.of(LcpInstance(np.zeros((2, 2)),
-                                       np.array([0.5, -0.25])))
-    assert (flat.scale, flat.q.tolist(), flat.nu) == (1.0, [0.5, -0.25], 1.0)
+def test_equilibration_scales(monkeypatch):
+    # what solve hands its helpers: mu = max |M_ij| = 2 and
+    # rho = max(1, ||q||_inf) = 3, so the solver runs on M / 2, q / 3
+    # and hands out x = (3 / 2) u, here for the u = 1 the finish certifies
+    calls = []
+    real = nhtp._finish
+
+    def finish(inst, scale, q, x, s):
+        out = real(inst, scale, q, x, s)
+        calls.append((scale, q.copy(), None if out is None else out[0]))
+        return out
+
+    monkeypatch.setattr(nhtp, "_finish", finish)
+    rep = solve(LcpInstance(np.array([[2.0]]), np.array([-3.0])), PHI2,
+                SolverConfig(s=1))
+    assert calls
+    assert all(sc == 0.5 and q.tolist() == [-1.0] for sc, q, _ in calls)
+    u = calls[-1][2]
+    assert u.tolist() == [1.0]
+    assert rep.x.tolist() == (1.5 * u).tolist() == [1.5]
+    # a zero M scales by 1 and a small q by 1: the LCP itself.  From
+    # zero the residual ends this solve at once, so it starts at (1, 0)
+    calls.clear()
+    q0 = np.array([0.5, -0.25])
+    solve(LcpInstance(np.zeros((2, 2)), q0), PHI2, SolverConfig(s=1),
+          x0=np.array([1.0, 0.0]))
+    assert len(calls) == 1
+    assert calls[0][0] == 1.0 and np.array_equal(calls[0][1], q0)
 
 
 def test_newton_direction_worked_example():
     # M = [[2]], q = [-3] equilibrate to [[1]], [-1].  At u = 2, v = 1:
     # gradient 6, Hessian 13, no dropped coordinates, so the direction
     # solves 13 d = -6
-    lcp, u, v, _, g, T = one_dim_state(2.0, -3.0, 2.0)
-    d = newton_direction(u, v, g, T, T, PHI2, lcp, 5.0)
+    inst, scale, _, u, v, _, g, T = one_dim_state(2.0, -3.0, 2.0)
+    d = newton_direction(u, v, g, T, T, PHI2, inst, scale, 5.0)
     assert d is not None
     assert d[0] == pytest.approx(-6.0 / 13.0, rel=1e-14)
 
 
 def test_residual_worked_example():
     # full support (s = n): residual is just the gradient norm
-    _, u, _, _, g, T = one_dim_state(2.0, -3.0, 2.0)
+    u, _, _, g, T = one_dim_state(2.0, -3.0, 2.0)[3:]
     assert residual(u, g, T, 5.0, 1) == 6.0
 
 
@@ -81,9 +101,9 @@ def test_fallback_direction_is_restricted_steepest_descent(monkeypatch):
     seen = []
     real = nhtp.line_search
 
-    def search(x, f, g, T, direction, model, lcp):
+    def search(x, f, g, T, direction, model, inst, scale, q):
         seen.append((x.copy(), g.copy(), T.copy(), direction.copy()))
-        return real(x, f, g, T, direction, model, lcp)
+        return real(x, f, g, T, direction, model, inst, scale, q)
 
     monkeypatch.setattr(nhtp, "newton_direction", lambda *args: None)
     monkeypatch.setattr(nhtp, "line_search", search)
@@ -110,19 +130,20 @@ def test_line_search_accepts_descent_and_rejects_ascent():
     g = merit_gradient(PHI2, inst, x)
     assert f == 0.5 and g[0] == 2.0
     T = np.array([0])
-    lcp = Equilibrated.of(inst)  # unit scales: the LCP itself
-    step = line_search(x, f, g, T, np.array([-1.0]), PHI2, lcp)
+    # unit scales: the LCP itself
+    step = line_search(x, f, g, T, np.array([-1.0]), PHI2, inst, 1.0, inst.q)
     assert step is not None
     alpha, x_new, y_new, f_new, bt = step
     assert alpha == 1.0 and bt == 0
     assert x_new[0] == 0.0 and y_new[0] == 0.0 and f_new == 0.0
-    assert line_search(x, f, g, T, np.array([1.0]), PHI2, lcp) is None
+    assert line_search(x, f, g, T, np.array([1.0]), PHI2, inst, 1.0,
+                       inst.q) is None
     # the fixed Armijo constants: along d = -4, alpha = 1 gives x = -3,
     # f = 9, and alpha = 1/2 gives x = -1, f = 1, both above
     # 0.5 - 1e-4 * 8 alpha; the second halving, alpha = 1/4, reaches
     # x = 0, f = 0.  So the trials are 1, 1/2, 1/4: beta = 0.5
-    alpha, x_new, y_new, f_new, bt = line_search(x, f, g, T,
-                                                 np.array([-4.0]), PHI2, lcp)
+    alpha, x_new, y_new, f_new, bt = line_search(
+        x, f, g, T, np.array([-4.0]), PHI2, inst, 1.0, inst.q)
     assert alpha == 0.25 and bt == 2
     assert x_new[0] == 0.0 and y_new[0] == 0.0 and f_new == 0.0
 
@@ -134,8 +155,8 @@ def test_line_search_zeroes_coordinates_off_support():
     x = np.array([0.5, 1e-8])
     step = line_search(x, merit_value(PHI2, inst, x),
                        merit_gradient(PHI2, inst, x), np.array([0]),
-                       np.array([0.5, 0.0]), PHI2,
-                       Equilibrated.of(inst))  # unit scales
+                       np.array([0.5, 0.0]), PHI2, inst, 1.0,
+                       inst.q)  # unit scales
     assert step is not None
     assert step[1][0] == 1.0  # full step on the supported coordinate
     assert step[1][1] == 0.0  # off-support coordinate dropped
@@ -304,9 +325,9 @@ def test_finish_runs_once_per_iterate(monkeypatch):
     calls = []
     real = nhtp._finish
 
-    def finish(lcp, x, s):
+    def finish(inst, scale, q, x, s):
         calls.append(x.tobytes())
-        return real(lcp, x, s)
+        return real(inst, scale, q, x, s)
 
     monkeypatch.setattr(nhtp, "_finish", finish)
     inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
@@ -322,23 +343,23 @@ def test_finish_certifies_through_rounding_level_negatives():
     # negative by about 1e-17, so only a tolerance on v lets the finish
     # certify it
     inst = generate(GeneratorSpec("sdp_gaussian", 200, seed=0))
-    lcp = Equilibrated.of(inst)
+    scale, q = 1.0 / inst.m_scale, inst.q / inst.q_scale
+    nu = inst.q_scale / inst.m_scale
     gt = inst.ground_truth
     planted = np.flatnonzero(gt)
-    u = gt / lcp.nu
+    u = gt / nu
     u[planted[1]] = 0.0
-    u_f, v_f = nhtp._finish(lcp, u, 2)
+    u_f, v_f = nhtp._finish(inst, scale, q, u, 2)
     assert np.flatnonzero(u_f).tolist() == planted.tolist()
-    assert np.allclose(lcp.nu * u_f, gt, rtol=0.0, atol=1e-12)
-    assert np.allclose(v_f, lcp.scale * (inst.M @ u_f) + lcp.q,
-                       rtol=0.0, atol=1e-12)
+    assert np.allclose(nu * u_f, gt, rtol=0.0, atol=1e-12)
+    assert np.allclose(v_f, scale * (inst.M @ u_f) + q, rtol=0.0, atol=1e-12)
     off = gt == 0.0
     assert np.count_nonzero(v_f[off] < 0.0) == 54
     assert v_f[off].min() >= -1e-12  # ||q / rho||_inf = 1
-    assert certificate(u_f, v_f, lcp.q) <= 1e-12
+    assert certificate(u_f, v_f, q) <= 1e-12
     # no room for the second index, and nothing to start from
-    assert nhtp._finish(lcp, u, 1) is None
-    assert nhtp._finish(lcp, np.zeros(inst.n), 2) is None
+    assert nhtp._finish(inst, scale, q, u, 1) is None
+    assert nhtp._finish(inst, scale, q, np.zeros(inst.n), 2) is None
 
 
 def test_finished_point_is_an_iterate(monkeypatch):
@@ -363,7 +384,7 @@ def test_finished_point_is_an_iterate(monkeypatch):
                 callback=lambda k, x, f: seen.append((k, x.copy(), f)))
     assert len(polished) == 1
     assert [k for k, _, _ in seen] == [0, 1, 2] and rep.iterations == 2
-    nu = Equilibrated.of(inst).nu
+    nu = inst.q_scale / inst.m_scale
     assert nu != 1.0
     assert np.array_equal(seen[-1][1], nu * polished[0])
     assert np.array_equal(rep.x, nu * polished[0])

@@ -144,6 +144,19 @@ def test_spec_validation_and_defaults():
     assert GeneratorSpec("zmatrix", 1).resolved_s_star == 1
 
 
+@pytest.mark.parametrize("field", ["n", "s_star", "m", "seed"])
+def test_spec_counts_must_be_integers(field):
+    # a float n used to fail late in generate, and seed = 2.5 silently
+    # drew the instance of seed 2
+    kw = dict(n=40, s_star=4, m=20, seed=2)
+    with pytest.raises(TypeError):
+        GeneratorSpec("sdp_gaussian", **{**kw, field: kw[field] + 0.5})
+    spec = GeneratorSpec("sdp_gaussian", **{**kw, field: np.int64(kw[field])})
+    ref = generate(GeneratorSpec("sdp_gaussian", **kw))
+    inst = generate(spec)
+    assert np.array_equal(inst.M, ref.M) and np.array_equal(inst.q, ref.q)
+
+
 def test_z_matrix_family_is_exact():
     inst = generate(GeneratorSpec("zmatrix", 3))
     third = 1.0 / 3.0

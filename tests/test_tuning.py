@@ -27,6 +27,14 @@ def test_config_validation():
         TuningConfig(max_rounds=0)
 
 
+@pytest.mark.parametrize("s0", [1.5, 2.0, np.float64(1.0)])
+def test_starting_budget_must_be_an_integer(s0):
+    # a float s0 used to build and then fail in the first round's solve
+    with pytest.raises(TypeError):
+        TuningConfig(s0=s0)
+    assert TuningConfig(s0=np.int32(2)).s0_for(10) == 2
+
+
 def test_default_schedule_parameters():
     cfg = TuningConfig()
     assert cfg.s0_for(4999) == 1
