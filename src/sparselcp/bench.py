@@ -66,7 +66,7 @@ class GridPoint:
     s: int = None
 
     def __post_init__(self):
-        if self.n < 1:
+        if operator.index(self.n) < 1:
             raise ValueError("n must be positive")
         MeritModel.phi_r(self.r)  # raises on an r phi_r does not take
         for name in ("s_star", "s"):
@@ -102,8 +102,9 @@ class ExperimentSpec:
             raise ValueError("grid must be non-empty")
         if any(not isinstance(g, GridPoint) for g in self.grid):
             raise ValueError("grid entries must be GridPoint")
-        if self.trials < 1:
+        if operator.index(self.trials) < 1:
             raise ValueError("trials must be at least 1")
+        operator.index(self.base_seed)
         out_dir = Path(self.output_path).parent
         if not out_dir.is_dir():
             raise ValueError(f"output directory {out_dir} does not exist")

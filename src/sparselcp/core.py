@@ -159,7 +159,7 @@ class SolverConfig:
             raise ValueError("eta must be positive and finite")
         if not 0 <= self.tol < np.inf:
             raise ValueError("tol must be nonnegative and finite")
-        if self.max_iter < 1:
+        if operator.index(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
 
 

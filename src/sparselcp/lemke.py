@@ -10,11 +10,18 @@ path).
 The leaving row follows the lexicographic minimum-ratio rule (Cottle,
 Pang & Stone, The Linear Complementarity Problem, 1992): rows whose ratio
 lies within a tolerance of the minimum are tied, and the tie goes to the
-lexicographically smallest row of B^-1 (the slack block of the tableau)
-divided by the driving column.  Round-off in the update therefore cannot
-pick the path through a degenerate basis, and in exact arithmetic the
-rule cannot cycle.  The tableau is built in place in Fortran order, and
-each pivot is one BLAS rank-1 update (dger) of that body.
+lexicographically smallest row of B^-1 (the slack columns of the
+tableau) divided by the driving column.  Round-off in the update therefore
+cannot pick the path through a degenerate basis, and in exact arithmetic
+the rule cannot cycle.
+
+The tableau stores only the n+1 nonbasic columns and the constant column:
+a basic column is the unit vector of its row and is not kept.  It is
+built in place in Fortran order, and each pivot is one BLAS rank-1 update
+(dger) of that condensed body, after which the leaving variable's column
+is written into the entering variable's slot.  dger updates each column
+on its own, so every stored column and every pivot decision is bit for
+bit what the full n x (2n+2) tableau gives, in half its memory.
 """
 
 import logging
@@ -42,43 +49,63 @@ class PivotLimit(Exception):
 
 @dataclass
 class Tableau:
-    """Dense Lemke tableau.
+    """Dense Lemke tableau, condensed to its nonbasic columns.
 
-    Column ids: 0..n-1 the slacks w_i, n..2n-1 the variables z_i, 2n the
-    artificial variable; column 2n+1 is the constant column.  basis is
-    an np.intp array whose entry i names the variable currently basic in
-    row i.  initial() builds the body in place in Fortran order; pivot()
-    keeps what dger returns: that body updated in place, or an updated
-    copy of a body in any other layout.  pivot() keeps no check;
-    solution() asserts once per run that the basis is complementary.
+    Variable ids: 0..n-1 the slacks w_i, n..2n-1 the variables z_i, 2n
+    the artificial variable.  basis and nonbasic are np.intp arrays:
+    basis[i] names the variable basic in row i, and nonbasic[j] the
+    variable whose column is body[:, j], for j < n+1.  body is n x (n+2);
+    its last column is the constant column.  A basic variable's column is
+    the unit vector of its row and is not stored.
+
+    initial() builds the body in place in Fortran order; pivot() keeps
+    what dger returns: that body updated in place, or an updated copy of
+    a body in any other layout.  pivot() keeps no check; solution()
+    asserts once per run that the basis is complementary.
     """
 
     basis: np.ndarray
+    nonbasic: np.ndarray
     body: np.ndarray
 
     @staticmethod
     def initial(M, q):
         n = q.shape[0]
-        body = np.zeros((n, 2 * n + 2), order="F")
-        np.fill_diagonal(body[:, :n], 1.0)
-        np.negative(M, out=body[:, n:2 * n])
-        body[:, 2 * n] = -1.0
-        body[:, 2 * n + 1] = q
-        return Tableau(basis=np.arange(n), body=body)
+        body = np.empty((n, n + 2), order="F")
+        np.negative(M, out=body[:, :n])
+        body[:, n] = -1.0
+        body[:, n + 1] = q
+        return Tableau(basis=np.arange(n), nonbasic=np.arange(n, 2 * n + 1),
+                       body=body)
 
     @property
     def n(self):
         return len(self.basis)
 
-    def pivot(self, row, col):
-        """Make column col basic in row, returning the leaving variable."""
+    def slot(self, var):
+        """The body column that holds nonbasic variable var."""
+        return int(np.flatnonzero(self.nonbasic == var)[0])
+
+    def pivot(self, row, var):
+        """Make variable var basic in row, returning the leaving variable.
+
+        The rank-1 update leaves var's column as the unit vector of row,
+        and the leaving variable's unit column becomes (-s) d with s at
+        row, s = 1 / d[row]: what dger makes of that unit column, up to
+        the sign of zeros.  It is written into var's slot.
+        """
+        j = self.slot(var)
         body = self.body
-        scaled = body[row] / body[row, col]
-        body = self.body = dger(-1.0, body[:, col].copy(), scaled, a=body,
-                                overwrite_a=1)
+        d = body[:, j].copy()
+        scaled = body[row] / d[row]
+        body = self.body = dger(-1.0, d, scaled, a=body, overwrite_a=1)
         body[row] = scaled
+        s = 1.0 / d[row]
+        np.multiply(d, -s, out=body[:, j])
+        body[row, j] = s
         leaving = int(self.basis[row])
-        self.basis[row] = col
+        self.basis[row] = var
+        self.nonbasic[j] = leaving
         return leaving
 
     def solution(self):
@@ -100,29 +127,31 @@ def _complement(var, n):
     return var + n if var < n else var - n
 
 
-def _lexmin_row(body, basis, d, tied):
-    """The tied row whose row of B^-1 (the slack block body[:, :n]),
-    divided by the driving column d, is lexicographically smallest.
+def _lexmin_row(tab, d, tied):
+    """The tied row whose row of B^-1 (the slack columns), divided by
+    the driving column d, is lexicographically smallest.
 
     Slack columns are scanned in index order.  A basic slack column is
     the unit vector of its row, so its quotient is 1/d > 0 in that row
     and exactly 0 in every other: it only drops its own row from the tie
-    and needs no division.  Only the nonbasic slack columns are divided.
+    and needs no division.  Only the nonbasic slack columns are divided;
+    nonbasic names their slots.
     """
-    n = body.shape[0]
+    n, body, nonbasic = tab.n, tab.body, tab.nonbasic
     # the slack basic in each tied row; n for a row holding z or the
     # artificial, which no basic slack column drops
-    key = np.minimum(basis[tied], n)
-    free = np.ones(n + 1, dtype=bool)  # free[n]: end of the slack block
-    free[basis[basis < n]] = False
-    for j in np.flatnonzero(free):
+    key = np.minimum(tab.basis[tied], n)
+    # nonbasic slacks in index order, then a z or the artificial: of the
+    # n+1 nonbasic variables at most n are slacks
+    for slot in np.argsort(nonbasic):
+        j = min(nonbasic[slot], n)  # n: the end of the slack block
         early = key < j  # dropped, in slack order, by columns before j
         if early.all():
             return tied[np.argmax(key)]  # the last one is kept
         tied, key = tied[~early], key[~early]
         if tied.size == 1 or j == n:
             break
-        v = body[tied, j] / d[tied]
+        v = body[tied, slot] / d[tied]
         keep = v == v.min()
         tied, key = tied[keep], key[keep]
     return tied[0]
@@ -158,7 +187,7 @@ def lemke_solve(inst, max_pivots=None):
     while True:
         if pivots >= max_pivots:
             raise PivotLimit(f"no termination within {max_pivots} pivots")
-        col = tab.body[:, driving]
+        col = tab.body[:, tab.slot(driving)]
         elig = col > _PIVOT_TOL
         if not np.any(elig):
             raise RayTermination("driving column has no blocking variable")
@@ -167,7 +196,7 @@ def lemke_solve(inst, max_pivots=None):
         rmin = ratios.min()
         width = _PIVOT_TOL * max(1.0, abs(rmin))
         tied = np.flatnonzero(ratios <= rmin + width)
-        row = int(_lexmin_row(tab.body, tab.basis, col, tied))
+        row = int(_lexmin_row(tab, col, tied))
         leaving = tab.pivot(row, driving)
         pivots += 1
         logger.debug("pivot %d: in=%d out=%d row=%d", pivots, driving,

@@ -44,7 +44,7 @@ class TuningConfig:
             raise ValueError("rho must be finite and exceed 1")
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
-        if self.max_rounds < 1:
+        if operator.index(self.max_rounds) < 1:
             raise ValueError("max_rounds must be at least 1")
 
     def s0_for(self, n):

@@ -50,6 +50,26 @@ def test_grid_point_counts_must_be_integers(kw):
     assert GridPoint(40, s_star=np.int64(2), s=np.int32(1)).s == 1
 
 
+@pytest.mark.parametrize("n", [10.5, 10.0, np.float64(10.0)])
+def test_grid_point_dimension_must_be_an_integer(n):
+    with pytest.raises(TypeError):
+        GridPoint(n)
+    assert GridPoint(np.int64(10), s_star=2).n == 10
+
+
+@pytest.mark.parametrize("kw", [{"trials": 2.5}, {"trials": 2.0},
+                                {"base_seed": 1.5},
+                                {"base_seed": np.float64(0.0)}])
+def test_experiment_spec_counts_must_be_integers(tmp_path, kw):
+    grid = (GridPoint(10, s_star=1),)
+    out = str(tmp_path / "x.csv")
+    with pytest.raises(TypeError):
+        ExperimentSpec("scaling", grid, out, **kw)
+    spec = ExperimentSpec("scaling", grid, out, trials=np.int64(2),
+                          base_seed=np.int32(3))
+    assert (spec.trials, spec.base_seed) == (2, 3)
+
+
 def test_experiment_spec_validation(tmp_path):
     grid = (GridPoint(10, s_star=1),)
     with pytest.raises(ValueError):

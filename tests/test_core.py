@@ -209,6 +209,14 @@ def test_solver_config_budget_must_be_an_integer(s):
     assert SolverConfig(s=np.int64(3)).s == 3
 
 
+@pytest.mark.parametrize("max_iter", [1.5, 2.0, np.float64(2.0)])
+def test_solver_config_iteration_cap_must_be_an_integer(max_iter):
+    # max_iter = 1.5 used to build and then run 2 iterations
+    with pytest.raises(TypeError):
+        SolverConfig(s=1, max_iter=max_iter)
+    assert SolverConfig(s=1, max_iter=np.int64(2)).max_iter == 2
+
+
 def test_eta_default_is_two_at_every_dimension():
     # eta is one number in equilibrated units, whatever n
     assert SolverConfig(s=1).eta == 2.0

@@ -35,6 +35,14 @@ def test_starting_budget_must_be_an_integer(s0):
     assert TuningConfig(s0=np.int32(2)).s0_for(10) == 2
 
 
+@pytest.mark.parametrize("max_rounds", [1.5, 2.0, np.float64(2.0)])
+def test_round_cap_must_be_an_integer(max_rounds):
+    # max_rounds = 1.5 used to build and then run 2 rounds
+    with pytest.raises(TypeError):
+        TuningConfig(max_rounds=max_rounds)
+    assert TuningConfig(max_rounds=np.int64(2)).max_rounds == 2
+
+
 def test_default_schedule_parameters():
     cfg = TuningConfig()
     assert cfg.s0_for(4999) == 1
