@@ -36,7 +36,7 @@ from .bench import EXPERIMENTS, ExperimentSpec, GridPoint, run_experiment
 from .core import (SolverConfig, Termination, _fmt, certificate,
                    load_instance, save_instance, support_mask)
 from .lemke import PivotLimit, RayTermination, lemke_solve
-from .merit import KINDS, MeritModel, merit_value
+from .merit import KINDS, MeritModel, value_from_xy
 from .problems import EXAMPLES, GeneratorSpec, generate, relative_error
 from .tuning import TuningConfig, nhtpt_solve, support_count
 
@@ -99,10 +99,17 @@ def _add_solver_flags(p, with_s=True):
                    metavar="MAXITER", help="iteration cap")
 
 
-def _print_point(inst, x):
-    """Print x less its round-off entries, and its certificate; returns it."""
-    x = np.where(support_mask(x), x, 0.0)
-    cert = certificate(x, inst.M @ x + inst.q, inst.q)
+def _print_point(inst, x, y=None):
+    """Print x less its round-off entries, and its certificate; returns it.
+
+    y, when given, is M x + q at the x passed in.  The certificate reads
+    it unless trimming dropped an entry; then M x + q is formed again at
+    the trimmed point."""
+    kept = np.where(support_mask(x), x, 0.0)
+    if y is None or not np.array_equal(kept, x):
+        y = inst.M @ kept + inst.q
+    x = kept
+    cert = certificate(x, y, inst.q)
     print(f"certificate: {cert:.6e}")
     nz = np.flatnonzero(x)
     print(f"nonzeros:    {nz.size}")
@@ -177,10 +184,11 @@ def _cmd_tune(args):
 def _cmd_lemke(args):
     inst = load_instance(args.instance)
     x, pivots = lemke_solve(inst, **_given(args, "max_pivots"))
-    f2 = merit_value(MeritModel.phi_r(2), inst, x)
+    y = inst.M @ x + inst.q
+    f2 = value_from_xy(MeritModel.phi_r(2), x, y)
     print(f"pivots:      {pivots}")
     print(f"f2:          {f2:.6e}")
-    _print_point(inst, x)
+    _print_point(inst, x, y)
     return 0
 
 

@@ -228,18 +228,22 @@ def merit_gradient(model, inst, x):
     return gradient_from_xy(model, inst.M, x, inst.M @ x + inst.q)
 
 
-def merit_hessian(model, inst, x, rows, cols, y=None, scale=1.0):
+def merit_hessian(model, inst, x, rows, cols, y=None, scale=1.0,
+                  gathered=None):
     """The |rows| x |cols| block of the merit Hessian at x: entry (i, j)
     is H[rows[i], cols[j]], so indices may come in any order and repeat.
 
     For r = 2 and psi2 the returned matrix is the selected element of the
     generalized Hessian described in the module docstring.  The columns
-    M[:, rows] and M[:, cols] are gathered once; the M^T Diag(h_bb) M term
-    reads only their rows with h_bb != 0, in O(|a| |rows| |cols|), or all
-    n rows when more than half are active.  The full matrix is never
-    formed.  As in gradient_from_xy, scale turns M into scale * M: h_ab
-    carries it once and h_bb twice, and y, which defaults to M x + q,
-    must then be given.
+    M[:, rows] come from gathered, when given, or from one gather of
+    inst.columns(rows); M[:, cols] is gathered only when cols differs from
+    rows.  So a caller that already holds M[:, T] has the T x T block
+    gather nothing and the T x J block gather only its |J| columns.  The
+    M^T Diag(h_bb) M term reads only the rows with h_bb != 0, in
+    O(|a| |rows| |cols|), or all n rows when more than half are active.
+    The full matrix is never formed.  As in gradient_from_xy, scale turns
+    M into scale * M: h_ab carries it once and h_bb twice, and y, which
+    defaults to M x + q, must then be given.
     """
     x = np.asarray(x, dtype=np.float64)
     M = inst.M
@@ -250,13 +254,13 @@ def merit_hessian(model, inst, x, rows, cols, y=None, scale=1.0):
     haa, hab, hbb = _KERNELS[model.kind](x, y, model.r, 2)
     hab *= scale
     hbb *= scale * scale
-    MC = inst.columns(C)
-    MR = MC if np.array_equal(R, C) else inst.columns(R)
+    MR = inst.columns(R) if gathered is None else gathered
+    MC = MR if np.array_equal(R, C) else inst.columns(C)
     act = _active_rows(hbb)
     if act is None:
         act = slice(None)
-    MCa = MC[act]
-    MRa = MCa if MR is MC else MR[act]
+    MRa = MR[act]
+    MCa = MRa if MC is MR else MC[act]
     H = MRa.T @ (hbb[act, None] * MCa)
     H += hab[R][:, None] * MC[R]
     H += MR[C].T * hab[C][None, :]

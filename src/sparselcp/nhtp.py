@@ -11,7 +11,10 @@ descent test, then backtracks along
 
 so every iterate keeps at most s nonzeros.  Since x(alpha) is affine in
 alpha, so is y(alpha) = M x(alpha) + q: the line search forms its two
-n-vectors once, and each trial costs O(n).
+n-vectors once, and each trial costs O(n).  Each iterate gathers the
+columns M[:, T] once: both Hessian blocks of the Newton system and the
+line search's two products read that one n x s copy, and it is dropped
+as soon as the search returns.
 
 Each iteration's head tests, in order: the stationarity residual (unless
 the last step stalled), the certificate of core.certificate at 1e-12,
@@ -104,13 +107,15 @@ def residual(x, grad, T, eta, s):
     return first + max(slack, 0.0)
 
 
-def newton_direction(x, y, g, T, prev_T, model, inst, scale, eta):
+def newton_direction(x, y, g, T, prev_T, model, inst, cols, scale, eta):
     """Restricted Newton direction at x (y = M x / mu + q / rho, gradient
     g), or None when the fallback must run.
 
     Solves H[T,T] d_T = H[T,J] x_J - g_T with J = prev_T minus T, the
     coordinates being dropped from the previous working set, and sets
-    d = -x off T.  T and prev_T are sorted index arrays.  Returns None if
+    d = -x off T.  T and prev_T are sorted index arrays, and cols is
+    inst.columns(T): both blocks read it, so only the |J| columns of the
+    T x J block are gathered here.  Returns None if
     the system is singular or d fails the descent margin test
         <g_T, d_T> <= -gamma ||d||^2 + ||x_offT||^2 / (4 eta),
     with gamma = 1e-10 when x vanishes off T and 1e-4 otherwise.  eta is
@@ -123,10 +128,10 @@ def newton_direction(x, y, g, T, prev_T, model, inst, scale, eta):
     rhs = -g[T]
     if np.any(xj != 0.0):
         rhs = rhs + mer.merit_hessian(model, inst, x, T, j, y=y,
-                                      scale=scale) @ xj
+                                      scale=scale, gathered=cols) @ xj
     try:
         dt = dense_solve(mer.merit_hessian(model, inst, x, T, T, y=y,
-                                           scale=scale), rhs)
+                                           scale=scale, gathered=cols), rhs)
     except SingularError:
         return None
     d = -x
@@ -138,19 +143,19 @@ def newton_direction(x, y, g, T, prev_T, model, inst, scale, eta):
     return None
 
 
-def line_search(x, f, g, T, direction, model, inst, scale, q):
+def line_search(x, f, g, T, direction, model, cols, scale, q):
     """Armijo backtracking along the support-restricted update from x,
     with merit f and gradient g, keeping the sorted index array T.
 
     Tries alpha = 0.5^t for t = 0..50 against
     f(x(alpha)) <= f + 1e-4 * alpha * <g, d>.  The products
     y0 = M[:, T] x_T / mu + q / rho and dy = M[:, T] d_T / mu are formed
-    once (1 / mu rides on x_T and d_T), and each trial takes
+    once from cols = M[:, T], the gather newton_direction read, with
+    1 / mu riding on x_T and d_T, and each trial takes
     y(alpha) = y0 + alpha dy in O(n).  Returns
     (alpha, x_new, y_new, f_new, t) or None when every alpha fails.
     """
     slope = float(np.dot(g, direction))
-    cols = inst.columns(T)
     xt = x[T]
     dt = direction[T]
     y0 = cols @ (scale * xt) + q
@@ -174,15 +179,16 @@ def _finish(inst, scale, q, x, s):
     M and q stand for M / mu and q / rho.
 
     Each pass solves M_FF z = -q_F and sets x_f = z on F, 0 off it, and
-    y_f = M[:, F] z + q.  Every index with z_i < -1e-12 in F, or
-    y_i < -1e-12 off F, then swaps sides: rounding leaves the off-support
-    y_i of a degenerate solution near -1e-13, not at 0.  Once the number
-    of such indices stops falling, only the largest of them swaps
-    (Murty's rule).  F never outgrows s: when too many indices would
-    enter, those with the most negative y_i do.  z is never clipped.
-    Gives up when F is empty, when M_FF is singular, when no index can
-    swap, or after 10 passes.  With no swap this is
-    the hard-thresholding pursuit polish (Foucart, SIAM J. Numer. Anal.
+    y_f = M[:, F] z + q; that pass's gather of M[:, F] is dropped there,
+    so only one is alive at a time.  Every index with z_i < -1e-12 in F,
+    or y_i < -1e-12 off F, then swaps sides: rounding leaves the
+    off-support y_i of a degenerate solution near -1e-13, not at 0.  Once
+    the number of such indices stops falling, only the largest of them
+    swaps (Murty's rule).  F never outgrows s: when too many indices
+    would enter, those with the most negative y_i do.  z is never
+    clipped.  Gives up when F is empty, when M_FF is singular, when no
+    index can swap, or after 10 passes.  With no swap this is the
+    hard-thresholding pursuit polish (Foucart, SIAM J. Numer. Anal.
     2011); the swaps follow Judice & Pires (Comput. Oper. Res. 1994).
     """
     inside = x > 0.0
@@ -197,6 +203,7 @@ def _finish(inst, scale, q, x, s):
         except SingularError:
             return None
         y = cols @ (scale * z) + q
+        del cols  # before the next pass gathers its own
         x_f = np.zeros_like(x)
         x_f[F] = z
         violation = -np.where(inside, x_f, y)
@@ -308,12 +315,15 @@ def solve(inst, model, config, x0=None, callback=None):
                     logger.debug("iter %d: finish certified f=%.9e",
                                  k + 1, f_f)
         if step is None:
-            d = newton_direction(u, v, g, T, prev_T, model, inst, scale, eta)
+            cols = inst.columns(T)  # the one gather of M[:, T] per iterate
+            d = newton_direction(u, v, g, T, prev_T, model, inst, cols,
+                                 scale, eta)
             used_newton = d is not None
             if d is None:  # restricted steepest descent
                 d = -u
                 d[T] = -g[T]
-            searched = line_search(u, f, g, T, d, model, inst, scale, q)
+            searched = line_search(u, f, g, T, d, model, cols, scale, q)
+            del cols  # so the next finish's gather of F is the only one
             if searched is None:
                 backtracks += _MAX_BACKTRACKS + 1
                 if eta <= eta_floor:

@@ -13,8 +13,10 @@ def dense_gradient(model, M, x, y, scale=1.0):
     return da + M.T @ (scale * db)
 
 
-def dense_hessian(model, inst, x, rows, cols, y=None, scale=1.0):
-    """H[rows, cols] with the M^T Diag(h_bb) M term over all n rows."""
+def dense_hessian(model, inst, x, rows, cols, y=None, scale=1.0,
+                  gathered=None):
+    """H[rows, cols] with the M^T Diag(h_bb) M term over all n rows;
+    gathered, when given, is M[:, rows]."""
     x = np.asarray(x, dtype=np.float64)
     if y is None:
         y = inst.M @ x + inst.q
@@ -23,8 +25,8 @@ def dense_hessian(model, inst, x, rows, cols, y=None, scale=1.0):
     haa, hab, hbb = _KERNELS[model.kind](x, y, model.r, 2)
     hab = scale * hab
     hbb = scale * scale * hbb
-    MC = inst.columns(C)
-    MR = MC if np.array_equal(R, C) else inst.columns(R)
+    MR = inst.columns(R) if gathered is None else gathered
+    MC = MR if np.array_equal(R, C) else inst.columns(C)
     H = MR.T @ (hbb[:, None] * MC)
     H += hab[R][:, None] * MC[R]
     H += MR[C].T * hab[C][None, :]

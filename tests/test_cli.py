@@ -259,6 +259,18 @@ def test_reports_print_only_the_true_support(tmp_path, capsys, argv, seed):
     assert printed == planted.tolist()
 
 
+def test_point_certificate_is_that_of_the_trimmed_point(capsys):
+    # lemke hands its y = M x + q to _print_point; when an entry of x is
+    # round-off and is trimmed, the certificate is that of the trimmed
+    # point, whose y is formed again: 0 here, where the y of the untrimmed
+    # point would read 1e-12
+    inst = LcpInstance(np.ones((2, 2)), np.array([-1.0, -1.0]))
+    x = np.array([1.0, 1e-12])
+    kept = cli._print_point(inst, x, inst.M @ x + inst.q)
+    assert kept.tolist() == [1.0, 0.0]
+    assert "certificate: 0.000000e+00\n" in capsys.readouterr().out
+
+
 def test_lemke_pivot_limit_exit(tmp_path, capsys):
     path = write_instance(tmp_path, np.eye(2), [-1.0, -2.0])
     assert main(["lemke", "--instance", path, "--max-pivots", "1"]) == 2

@@ -66,7 +66,8 @@ def test_newton_direction_worked_example():
     # gradient 6, Hessian 13, no dropped coordinates, so the direction
     # solves 13 d = -6
     inst, scale, _, u, v, _, g, T = one_dim_state(2.0, -3.0, 2.0)
-    d = newton_direction(u, v, g, T, T, PHI2, inst, scale, 5.0)
+    d = newton_direction(u, v, g, T, T, PHI2, inst, inst.columns(T), scale,
+                         5.0)
     assert d is not None
     assert d[0] == pytest.approx(-6.0 / 13.0, rel=1e-14)
 
@@ -101,9 +102,9 @@ def test_fallback_direction_is_restricted_steepest_descent(monkeypatch):
     seen = []
     real = nhtp.line_search
 
-    def search(x, f, g, T, direction, model, inst, scale, q):
+    def search(x, f, g, T, direction, model, cols, scale, q):
         seen.append((x.copy(), g.copy(), T.copy(), direction.copy()))
-        return real(x, f, g, T, direction, model, inst, scale, q)
+        return real(x, f, g, T, direction, model, cols, scale, q)
 
     monkeypatch.setattr(nhtp, "newton_direction", lambda *args: None)
     monkeypatch.setattr(nhtp, "line_search", search)
@@ -131,19 +132,20 @@ def test_line_search_accepts_descent_and_rejects_ascent():
     assert f == 0.5 and g[0] == 2.0
     T = np.array([0])
     # unit scales: the LCP itself
-    step = line_search(x, f, g, T, np.array([-1.0]), PHI2, inst, 1.0, inst.q)
+    cols = inst.columns(T)
+    step = line_search(x, f, g, T, np.array([-1.0]), PHI2, cols, 1.0, inst.q)
     assert step is not None
     alpha, x_new, y_new, f_new, bt = step
     assert alpha == 1.0 and bt == 0
     assert x_new[0] == 0.0 and y_new[0] == 0.0 and f_new == 0.0
-    assert line_search(x, f, g, T, np.array([1.0]), PHI2, inst, 1.0,
+    assert line_search(x, f, g, T, np.array([1.0]), PHI2, cols, 1.0,
                        inst.q) is None
     # the fixed Armijo constants: along d = -4, alpha = 1 gives x = -3,
     # f = 9, and alpha = 1/2 gives x = -1, f = 1, both above
     # 0.5 - 1e-4 * 8 alpha; the second halving, alpha = 1/4, reaches
     # x = 0, f = 0.  So the trials are 1, 1/2, 1/4: beta = 0.5
     alpha, x_new, y_new, f_new, bt = line_search(
-        x, f, g, T, np.array([-4.0]), PHI2, inst, 1.0, inst.q)
+        x, f, g, T, np.array([-4.0]), PHI2, cols, 1.0, inst.q)
     assert alpha == 0.25 and bt == 2
     assert x_new[0] == 0.0 and y_new[0] == 0.0 and f_new == 0.0
 
@@ -153,9 +155,10 @@ def test_line_search_zeroes_coordinates_off_support():
     # of x is dropped exactly, not shrunk
     inst = LcpInstance(np.eye(2), np.array([-1.0, -1.0]))
     x = np.array([0.5, 1e-8])
+    T = np.array([0])
     step = line_search(x, merit_value(PHI2, inst, x),
-                       merit_gradient(PHI2, inst, x), np.array([0]),
-                       np.array([0.5, 0.0]), PHI2, inst, 1.0,
+                       merit_gradient(PHI2, inst, x), T,
+                       np.array([0.5, 0.0]), PHI2, inst.columns(T), 1.0,
                        inst.q)  # unit scales
     assert step is not None
     assert step[1][0] == 1.0  # full step on the supported coordinate
@@ -470,20 +473,99 @@ def test_power_of_two_scalings_give_bit_identical_solves():
         assert rep.f_trace == base.f_trace
 
 
+def traced_peak(fn, *args):
+    """fn(*args) and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_solve_allocates_nothing_of_the_size_of_m():
     # the equilibrated LCP is never formed: every product with M carries
     # the scale instead, so the solve's own peak stays a small fraction
     # of M (about 2.4 % here; one copy of M would be 100 %)
     spec = GeneratorSpec("sdp_gaussian", 2000, seed=0)
     inst = generate(spec)
-    config = SolverConfig(s=spec.resolved_s_star)
-    tracemalloc.start()
-    try:
-        solve(inst, PHI2, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(solve, inst, PHI2,
+                          SolverConfig(s=spec.resolved_s_star))
     assert peak <= 0.1 * inst.M.nbytes
+
+
+def test_solve_peak_is_one_gather_of_the_working_set():
+    # one n x s gather of M[:, T] per iterate, read by both Hessian
+    # blocks and the line search, plus the T x T block's two |a| x s
+    # products: 1.82 n s 8 bytes here.  Holding a second gather, as the
+    # finish or separate gathers per block would, reads 2.16
+    n, s = 2000, 60
+    inst = generate(GeneratorSpec("sdp_gaussian", n, s_star=s, seed=0))
+    _, peak = traced_peak(solve, inst, PHI2, SolverConfig(s=s))
+    assert peak < 1.95 * n * s * 8
+
+
+def test_finish_holds_one_gather_at_a_time(monkeypatch):
+    # from the planted support with one index swapped for a wrong one,
+    # the finish takes two passes over |F| = 60 before it certifies; its
+    # peak is one n x |F| gather plus O(n) vectors (1.13 n |F| 8 bytes),
+    # where keeping the last pass's gather through the next reads 2.07
+    n, s = 2000, 60
+    inst = generate(GeneratorSpec("sdp_gaussian", n, s_star=s, seed=0))
+    scale, q = 1.0 / inst.m_scale, inst.q / inst.q_scale
+    planted = np.flatnonzero(inst.ground_truth)
+    u = inst.ground_truth * (inst.m_scale / inst.q_scale)
+    u[planted[0]] = 0.0
+    u[np.setdiff1d(np.arange(n), planted)[0]] = 1.0
+    sizes = []
+    real = LcpInstance.columns
+
+    def columns(self, idx):
+        sizes.append(len(idx))
+        return real(self, idx)
+
+    monkeypatch.setattr(LcpInstance, "columns", columns)
+    out, peak = traced_peak(nhtp._finish, inst, scale, q, u, s)
+    assert sizes == [s, s]
+    assert out is not None
+    assert peak < 1.5 * n * s * 8
+
+
+def test_one_gather_of_the_working_set_per_newton_iterate(monkeypatch):
+    # both Hessian blocks and the line search read M[:, T] from one
+    # gather per iterate; the T x J block gathers only its |J| columns.
+    # Gathers are counted from the end of the finish, whose own are of
+    # F, to the end of each search.  On this path the third search runs
+    # with a T x J block
+    window, per_search, others = [], [], []
+    real_columns = LcpInstance.columns
+    real_finish = nhtp._finish
+    real_search = nhtp.line_search
+
+    def columns(self, idx):
+        window.append(np.array(idx))
+        return real_columns(self, idx)
+
+    def finish(*args):
+        out = real_finish(*args)
+        window.clear()
+        return out
+
+    def search(x, f, g, T, *rest):
+        out = real_search(x, f, g, T, *rest)
+        per_search.append(sum(np.array_equal(idx, T) for idx in window))
+        others.append(len(window) - per_search[-1])
+        window.clear()
+        return out
+
+    monkeypatch.setattr(LcpInstance, "columns", columns)
+    monkeypatch.setattr(nhtp, "_finish", finish)
+    monkeypatch.setattr(nhtp, "line_search", search)
+    inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
+    rep = solve(inst, PHI2, SolverConfig(s=4))
+    assert rep.iterations == 6
+    assert per_search == [1] * 6
+    assert others == [0, 0, 1, 0, 0, 0]
 
 
 def test_oversized_start_is_trimmed():
