@@ -16,7 +16,9 @@ print(f"instance: n = {inst.n}, planted nonzeros = "
       f"{np.count_nonzero(inst.ground_truth)}")
 
 model = MeritModel.phi_r(2)
-report = solve(inst, model, SolverConfig(s=4))
+trace = []  # the objective at every iterate, the start included
+report = solve(inst, model, SolverConfig(s=4),
+               callback=lambda k, x, f: trace.append(f))
 
 print(f"termination: {report.termination.value}")
 print(f"iterations:  {report.iterations}")
@@ -34,7 +36,7 @@ print(f"planted support:   {planted}")
 
 print()
 print("objective trace (one value per iteration, monotone by design):")
-for k, f in enumerate(report.f_trace):
+for k, f in enumerate(trace):
     print(f"  k = {k}: f = {f:.6e}")
 
 # the solution really solves the complementarity system

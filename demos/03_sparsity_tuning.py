@@ -27,6 +27,6 @@ print()
 seeded = lemke_seeded_s(inst)
 print(f"pivoting-seeded budget: s = {seeded} "
       f"(planted sparsity was 6)")
-rep2 = nhtpt_solve(inst, model, SolverConfig(s=seeded),
+rep2 = nhtpt_solve(inst, model, SolverConfig(s=1),
                    TuningConfig(s0=seeded, rho=2))[0]
 print(f"re-solving at the seeded budget: objective = {rep2.objective:.3e}")

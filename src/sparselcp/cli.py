@@ -234,7 +234,7 @@ def build_parser():
                      description="sparse linear complementarity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[], help="generate an instance file")
+    p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--example", choices=EXAMPLES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, help="factor inner dimension")

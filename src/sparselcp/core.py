@@ -185,15 +185,13 @@ class SolveReport:
     """Outcome of one solver run.
 
     support holds the working set that produced x, a sorted index array of
-    length s, so supp(x) is always contained in it.  f_trace records the
-    objective at x^0, x^1, ...  backtracks_total sums, over the line
-    searches that ran, t for one that accepted alpha = 0.5^t and 51 for
-    one that failed.  termination says why the solve ended; RESIDUAL_MET
-    means x is s-stationary, not that it solves the problem.  Only
-    CERTIFIED, or a small certificate() of x, shows that.
+    length s, so supp(x) is always contained in it.  termination says
+    why the solve ended; RESIDUAL_MET means x is s-stationary, not that
+    it solves the problem.  Only CERTIFIED, or a small certificate() of
+    x, shows that.  The path to x reaches nhtp.solve's callback only.
 
-    x is in the units of the instance's (M, q).  objective, f_trace and
-    residual are in the equilibrated LCP (M / m_scale, q / q_scale) that
+    x is in the units of the instance's (M, q).  objective and residual
+    are in the equilibrated LCP (M / m_scale, q / q_scale) that
     nhtp.solve runs on, as SolverConfig's eta and tol are.
     """
 
@@ -202,10 +200,8 @@ class SolveReport:
     objective: float
     residual: float
     iterations: int
-    backtracks_total: int
     wall_time: float
     termination: Termination
-    f_trace: list = field(default_factory=list)
 
 
 # singularity threshold factor relative to ||A||_inf

@@ -20,11 +20,10 @@ Each iteration's head tests, in order: the stationarity residual (unless
 the last step stalled), the certificate of core.certificate at 1e-12,
 the objective stall, and the iteration cap.  The first that holds ends
 the solve as RESIDUAL_MET, CERTIFIED, OBJECTIVE_STALLED or
-ITERATION_CAP.  Otherwise, at the first pass at each iterate (an eta
-retry from the same point skips it), a short block principal pivoting
-finish (_finish) tries to turn the current support into an exact
-solution of the LCP; when it certifies one that does not raise the
-merit, that point becomes the next iterate and the head ends the solve.
+ITERATION_CAP.  Otherwise a short block principal pivoting finish
+(_finish) tries to turn the current support into an exact solution of
+the LCP; when it certifies one that does not raise the merit, that
+point becomes the next iterate and the head ends the solve.
 The certificate, not the residual, ends many solves at a solution:
 degenerate rows with y_i ~ 0 can keep the residual above tol there.
 
@@ -36,22 +35,21 @@ solves it, with v = M u / mu + q / rho, exactly when x = nu u solves
 instance and scale = 1 / mu, which rides on every product with inst.M,
 the pairing the merit functions use, plus q = q / rho.  eta, tol, the
 residual, the certificate test and every merit value the solve reports
-(objective, f_trace, callback's f) are in these units; only the points
-it hands out, the report's x and callback's x, are in the original
-ones.  So one default eta of 2 suits every scale of data: on 24
-instances of sdp_gaussian at n = 5000 (seeds 0-18) it halves eta 0
-times, where an eta of 1 on the unscaled data halved it 110-153 times
-per 8 solves.
-And f(0) stays finite where ||q||^2 would overflow.
+(objective, callback's f) are in these units; only the points it hands
+out, the report's x and callback's x, are in the original ones.  So one
+default eta of 2 suits every scale of data: on 24 instances of
+sdp_gaussian at n = 5000 (seeds 0-18) it halves eta 0 times.  And f(0)
+stays finite where ||q||^2 would overflow.
 
 The threshold step eta controls only the working-set selection (and the
 residual normalization), not the step length.  A fixed eta can be too
 aggressive far from a solution: the selection then discards coordinates
 carrying real progress and no backtracking step is acceptable.  When a
-line search exhausts its budget the solver halves eta and retries the
-iteration from the same point, so descent stays monotone; eta never
-grows back.  Only when eta has been driven 2^40 times below its starting
-value does the solver give up and report the failed line search.
+line search exhausts its budget the solver halves eta and runs the
+same pass again from the same point, finish included, so descent stays
+monotone; eta never grows back.  Only when eta has been driven 2^40
+times below its starting value does the solver give up and report the
+failed line search.
 """
 
 import logging
@@ -241,18 +239,19 @@ def solve(inst, model, config, x0=None, callback=None):
 
     The solve runs on the equilibrated LCP (M / m_scale, q / q_scale) of
     the module docstring; x0 comes in, and the report's x and callback's
-    x go out, in the units of (M, q), while objective, residual, f_trace
-    and callback's f are those of the equilibrated problem.
+    x go out, in the units of (M, q), while objective, residual and
+    callback's f are those of the equilibrated problem.  callback is the
+    one record of the path: the report keeps only its end.
 
     A failed line search halves eta and retries the iteration from the
     same point, as the module docstring sets out.  The one selection and
     residual at the head of each iteration serve every exit, tested as
     residual (skipped right after a stalled step), certificate, stall,
-    then iteration cap.  The finish runs once per iterate, before its
-    first Newton step: a flag set when it runs and cleared by each step
-    keeps eta retries from running it again.  A certified point it
-    returns is an iterate like any other: f_trace and callback see it,
-    and the report's support is its top-s set.
+    then iteration cap.  The finish runs at every pass, before the Newton
+    step; it reads only u, s and the instance, so a retry at the same
+    point gets the answer it got before.  A certified point it returns is
+    an iterate like any other: callback sees it, and the report's support
+    is its top-s set.
     """
     n = inst.n
     s = config.s
@@ -279,15 +278,12 @@ def solve(inst, model, config, x0=None, callback=None):
     v = q if x0 is None else inst.M @ (scale * u) + q
     f = mer.value_from_xy(model, u, v)
     g = mer.gradient_from_xy(model, inst.M, u, v, scale=scale)
-    trace = [f]
     if callback is not None:
         callback(0, nu * u, f)
     logger.info("solve start: n=%d s=%d eta=%g mu=%g rho=%g merit=%s "
                 "f0=%.6e", n, s, eta, mu, rho,
                 model.kind, f)
-    backtracks = 0
     k = 0
-    finish_tried = False  # _finish runs once per iterate
     stalled = False
     while True:
         T = select_support(u, g, eta, s)
@@ -305,15 +301,12 @@ def solve(inst, model, config, x0=None, callback=None):
             termination = Termination.ITERATION_CAP
             break
         step = None
-        if not finish_tried:
-            finish_tried = True
-            polished = _finish(inst, scale, q, u, s)
-            if polished is not None:
-                f_f = mer.value_from_xy(model, *polished)
-                if f_f <= f:
-                    step = (*polished, f_f, top_s_by_magnitude(polished[0], s))
-                    logger.debug("iter %d: finish certified f=%.9e",
-                                 k + 1, f_f)
+        polished = _finish(inst, scale, q, u, s)
+        if polished is not None:
+            f_f = mer.value_from_xy(model, *polished)
+            if f_f <= f:
+                step = (*polished, f_f, top_s_by_magnitude(polished[0], s))
+                logger.debug("iter %d: finish certified f=%.9e", k + 1, f_f)
         if step is None:
             cols = inst.columns(T)  # the one gather of M[:, T] per iterate
             d = newton_direction(u, v, g, T, prev_T, model, inst, cols,
@@ -325,7 +318,6 @@ def solve(inst, model, config, x0=None, callback=None):
             searched = line_search(u, f, g, T, d, model, cols, scale, q)
             del cols  # so the next finish's gather of F is the only one
             if searched is None:
-                backtracks += _MAX_BACKTRACKS + 1
                 if eta <= eta_floor:
                     termination = Termination.LINE_SEARCH_FAILED
                     break
@@ -334,16 +326,13 @@ def solve(inst, model, config, x0=None, callback=None):
                              k, eta)
                 continue
             alpha, u_new, v_new, f_new, bt = searched
-            backtracks += bt
             step = u_new, v_new, f_new, T
             logger.debug("iter %d: f=%.9e res=%.3e alpha=%g newton=%s bt=%d",
                          k + 1, f_new, res, alpha, used_newton, bt)
         u_new, v_new, f_new, prev_T = step
         stalled = abs(f_new - f) < _OBJ_TOL * (1.0 + abs(f))
         u, v, f = u_new, v_new, f_new
-        finish_tried = False
         k += 1
-        trace.append(f)
         if callback is not None:
             callback(k, nu * u, f)
         g = mer.gradient_from_xy(model, inst.M, u, v, scale=scale)
@@ -351,6 +340,5 @@ def solve(inst, model, config, x0=None, callback=None):
     logger.info("solve end: %s iters=%d f=%.6e res=%.3e time=%.3fs",
                 termination.value, k, f, res, wall)
     return SolveReport(x=nu * u, support=prev_T, objective=f,
-                       residual=res, iterations=k,
-                       backtracks_total=backtracks, wall_time=wall,
-                       termination=termination, f_trace=trace)
+                       residual=res, iterations=k, wall_time=wall,
+                       termination=termination)

@@ -61,8 +61,9 @@ class TuningConfig:
 def nhtpt_solve(inst, model, config, tuning=None):
     """Run the pursuit with a geometrically growing sparsity budget.
 
-    Each round solves from x0 = 0 with the current budget s, accepts as
-    soon as the round ends CERTIFIED or its merit value falls below
+    Each round solves from x0 = 0 with the current budget s in place of
+    config.s, so config supplies only eta, tol and max_iter.  A round is
+    accepted as soon as it ends CERTIFIED or its merit value falls below
     tuning.eps, and otherwise grows s to ceil(rho * s), capped at n.
     Returns (report, rounds) where rounds counts solver invocations; an
     accepted report keeps its termination.  If no round is accepted the

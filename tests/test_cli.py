@@ -242,9 +242,12 @@ def test_lemke_subcommand_and_ray_exit(tmp_path, capsys):
     (("solve", "--s", "4"), 0),
 ])
 def test_reports_print_only_the_true_support(tmp_path, capsys, argv, seed):
-    # the pivoting path crosses degenerate bases and the pursuit leaves
-    # entries near 1e-17 on its working set; that round-off is not
-    # printed as nonzeros, only the two planted entries are
+    # the pursuit leaves entries near 1e-17 on its working set; that
+    # round-off is not printed as nonzeros, only the two planted entries
+    # are.  Tableau.solution already zeroes a Lemke point's round-off, so
+    # the lemke case only checks that x prints its two planted entries;
+    # test_point_certificate_is_that_of_the_trimmed_point covers trimming
+    # a Lemke point
     path = str(tmp_path / "planted.txt")
     assert main(["gen", "--example", "sdp_gaussian", "--n", "200",
                  "--seed", str(seed), "--out", path]) == 0

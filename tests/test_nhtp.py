@@ -31,6 +31,14 @@ def one_dim_state(M_val, q_val, u_val, s=1):
             gradient_from_xy(PHI2, inst.M, u, v, scale=scale), np.arange(s))
 
 
+def solve_with_history(inst, model, config):
+    """solve with a callback: (report, fs), fs the objective at every
+    iterate, the start included."""
+    fs = []
+    rep = solve(inst, model, config, callback=lambda k, x, f: fs.append(f))
+    return rep, fs
+
+
 def test_equilibration_scales(monkeypatch):
     # what solve hands its helpers: mu = max |M_ij| = 2 and
     # rho = max(1, ||q||_inf) = 3, so the solver runs on M / 2, q / 3
@@ -171,12 +179,12 @@ def test_solve_trivial_nonnegative_q():
     rng = np.random.default_rng(7)
     Z = rng.standard_normal((6, 6))
     inst = LcpInstance(Z @ Z.T, np.abs(rng.standard_normal(6)))
-    rep = solve(inst, PHI2, SolverConfig(s=2))
+    rep, fs = solve_with_history(inst, PHI2, SolverConfig(s=2))
     assert rep.termination is Termination.RESIDUAL_MET
     assert rep.iterations == 0
     assert np.all(rep.x == 0.0)
     assert rep.objective == 0.0
-    assert rep.f_trace == [0.0]
+    assert fs == [0.0]
 
 
 def test_solve_one_dimensional_recovery():
@@ -218,7 +226,7 @@ def test_iterates_stay_sparse_and_monotone():
     assert ks == list(range(rep.iterations + 1))
     assert all(nnz <= 4 for _, nnz, _ in seen)
     fs = [f for _, _, f in seen]
-    assert fs == rep.f_trace
+    assert fs[-1] == rep.objective
     assert all(b <= a for a, b in zip(fs, fs[1:]))  # monotone descent
 
 
@@ -226,12 +234,11 @@ def test_report_fields_are_consistent():
     spec = GeneratorSpec("sdp_uniform", 40, s_star=2, m=20, seed=1)
     inst = generate(spec)
     cfg = SolverConfig(s=2)
-    rep = solve(inst, PHI2, cfg)
-    assert rep.objective == rep.f_trace[-1]
-    assert rep.iterations == len(rep.f_trace) - 1
+    rep, fs = solve_with_history(inst, PHI2, cfg)
+    assert rep.objective == fs[-1]
+    assert rep.iterations == len(fs) - 1
     assert rep.support.size == 2
     assert set(np.nonzero(rep.x)[0]) <= set(rep.support.tolist())
-    assert rep.backtracks_total >= 0
     assert rep.wall_time >= 0.0
     # the reported residual is reproducible from the final point; the
     # solver updates y incrementally, so recomputing it as M x + q moves
@@ -285,13 +292,13 @@ def test_eta_halving_retries_pin_the_report():
     rep = solve(inst, PHI2, SolverConfig(s=4, eta=1e6))
     assert rep.iterations == 6
     assert rep.termination is Termination.RESIDUAL_MET
-    assert rep.backtracks_total == 969  # 19 halvings of 51; no backtracks
     assert rep.support.tolist() == [150, 203, 226, 408]
 
 
-def test_backtracks_total_counts_only_searches_that_ran(monkeypatch):
-    # each search that ran adds its t when it accepts alpha = 0.5^t and
-    # all 51 trials when it fails; nothing else enters the count
+def test_eta_halving_retries_run_one_failed_search_each(monkeypatch):
+    # the solve above runs 25 line searches: each of its 19 eta halvings
+    # follows one that tried all 51 step sizes, and each of its 6 steps
+    # ends one that accepted alpha = 1
     counted = []
     real = nhtp.line_search
 
@@ -303,8 +310,10 @@ def test_backtracks_total_counts_only_searches_that_ran(monkeypatch):
     monkeypatch.setattr(nhtp, "line_search", search)
     inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
     rep = solve(inst, PHI2, SolverConfig(s=4, eta=1e6))
-    assert len(counted) == 25  # 19 failed searches and 6 steps
-    assert sum(counted) == rep.backtracks_total == 969
+    assert rep.iterations == 6
+    assert len(counted) == 25
+    assert counted.count(51) == 19
+    assert sum(counted) == 969  # 19 failures of 51 trials; no backtracks
 
 
 def test_residual_met_is_not_a_claim_of_a_solution():
@@ -320,24 +329,6 @@ def test_residual_met_is_not_a_claim_of_a_solution():
     x = rep.x
     assert certificate(x, inst.M @ x + inst.q, inst.q) == pytest.approx(
         0.974, abs=1e-3)
-
-
-def test_finish_runs_once_per_iterate(monkeypatch):
-    # the 19 eta retries of this solve stay at one point each time; the
-    # finish must not rerun on any of them
-    calls = []
-    real = nhtp._finish
-
-    def finish(inst, scale, q, x, s):
-        calls.append(x.tobytes())
-        return real(inst, scale, q, x, s)
-
-    monkeypatch.setattr(nhtp, "_finish", finish)
-    inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
-    rep = solve(inst, PHI2, SolverConfig(s=4, eta=1e6))
-    assert rep.backtracks_total == 19 * 51
-    assert len(calls) <= rep.iterations + 1
-    assert len(set(calls)) == len(calls)
 
 
 def test_finish_certifies_through_rounding_level_negatives():
@@ -365,11 +356,24 @@ def test_finish_certifies_through_rounding_level_negatives():
     assert nhtp._finish(inst, scale, q, np.zeros(inst.n), 2) is None
 
 
+def test_finish_gives_up_when_its_passes_run_out(monkeypatch):
+    # from u = (1, 0) on M = I, q = (-1, -1), the first pass solves on
+    # F = {0} and leaves v = (0, -1); index 1 swaps in and the second pass
+    # certifies (1, 1).  With one pass allowed, the swap is made and no
+    # pass is left to solve with it
+    inst = LcpInstance(np.eye(2), np.array([-1.0, -1.0]))
+    u = np.array([1.0, 0.0])
+    x_f, v_f = nhtp._finish(inst, 1.0, inst.q, u, 2)
+    assert x_f.tolist() == [1.0, 1.0] and v_f.tolist() == [0.0, 0.0]
+    monkeypatch.setattr(nhtp, "_FINISH_PASSES", 1)
+    assert nhtp._finish(inst, 1.0, inst.q, u, 2) is None
+
+
 def test_finished_point_is_an_iterate(monkeypatch):
     # the finish certifies x^2 here, where the pursuit alone took 7
     # iterations: that point, scaled back to the units of (M, q),
-    # reaches callback and f_trace as an s-sparse iterate that does not
-    # raise f, and the report is built from it
+    # reaches callback as an s-sparse iterate that does not raise f, and
+    # the report is built from it
     polished = []
     real = nhtp._finish
 
@@ -391,9 +395,10 @@ def test_finished_point_is_an_iterate(monkeypatch):
     assert nu != 1.0
     assert np.array_equal(seen[-1][1], nu * polished[0])
     assert np.array_equal(rep.x, nu * polished[0])
-    assert [f for _, _, f in seen] == rep.f_trace
+    fs = [f for _, _, f in seen]
+    assert fs[-1] == rep.objective
     assert all(np.count_nonzero(x) <= 2 for _, x, _ in seen)
-    assert all(b <= a for a, b in zip(rep.f_trace, rep.f_trace[1:]))
+    assert all(b <= a for a, b in zip(fs, fs[1:]))
     assert rep.support.tolist() == np.flatnonzero(inst.ground_truth).tolist()
     assert rep.termination is Termination.RESIDUAL_MET
 
@@ -416,7 +421,7 @@ def test_row_reads_leave_the_solve_bit_identical(monkeypatch):
     inst = generate(GeneratorSpec("sdp_gaussian", 300, seed=1))
     assert inst.symmetric
     config = SolverConfig(s=10)
-    rows = solve(inst, PHI2, config)
+    rows, rows_fs = solve_with_history(inst, PHI2, config)
     read = []
 
     def column_read(self, idx):
@@ -424,14 +429,13 @@ def test_row_reads_leave_the_solve_bit_identical(monkeypatch):
         return self.M[:, idx]
 
     monkeypatch.setattr(LcpInstance, "columns", column_read)
-    cols = solve(inst, PHI2, config)
+    cols, cols_fs = solve_with_history(inst, PHI2, config)
     assert read
     assert np.array_equal(rows.x, cols.x)
-    assert rows.f_trace == cols.f_trace
+    assert rows_fs == cols_fs
     assert rows.iterations == cols.iterations
     assert np.array_equal(rows.support, cols.support)
     assert rows.termination is cols.termination
-    assert rows.backtracks_total == cols.backtracks_total
 
 
 @pytest.mark.parametrize("n", [300, 1000])
@@ -460,17 +464,17 @@ def test_power_of_two_scalings_give_bit_identical_solves():
     # the same path and hands out exactly 2^(j - k) times the point
     inst = generate(GeneratorSpec("sdp_gaussian", 500, seed=0))
     config = SolverConfig(s=4)  # one below the planted 5: a longer path
-    base = solve(inst, PHI2, config)
+    base, base_fs = solve_with_history(inst, PHI2, config)
     assert base.iterations == 6
     for k, j in ((3, -2), (-5, 4), (10, 10)):
         scaled = LcpInstance(inst.M * 2.0**k, inst.q * 2.0**j)
         assert np.abs(scaled.q).max() >= 1.0
-        rep = solve(scaled, PHI2, config)
+        rep, fs = solve_with_history(scaled, PHI2, config)
         assert np.array_equal(rep.x, base.x * 2.0**(j - k)), (k, j)
         assert rep.iterations == base.iterations
         assert np.array_equal(rep.support, base.support)
         assert rep.termination is base.termination
-        assert rep.f_trace == base.f_trace
+        assert fs == base_fs
 
 
 def traced_peak(fn, *args):
@@ -636,19 +640,19 @@ def test_explicit_eta_is_honored():
     # part at x^2: from zero, the first selection does not depend on eta
     planted = generate(GeneratorSpec("sdp_gaussian", 40, s_star=4, m=20,
                                      seed=1))
-    default = solve(planted, PHI2, SolverConfig(s=4))
-    custom = solve(planted, PHI2, SolverConfig(s=4, eta=0.5))
-    assert default.f_trace[:2] == custom.f_trace[:2]
-    assert default.f_trace[2] != custom.f_trace[2]
+    default = solve_with_history(planted, PHI2, SolverConfig(s=4))[1]
+    custom = solve_with_history(planted, PHI2, SolverConfig(s=4, eta=0.5))[1]
+    assert default[:2] == custom[:2]
+    assert default[2] != custom[2]
 
 
 def test_solver_is_deterministic():
     spec = GeneratorSpec("sdp_gaussian", 45, s_star=3, m=22, seed=12)
     inst = generate(spec)
-    a = solve(inst, PHI2, SolverConfig(s=3))
-    b = solve(inst, PHI2, SolverConfig(s=3))
+    a, a_fs = solve_with_history(inst, PHI2, SolverConfig(s=3))
+    b, b_fs = solve_with_history(inst, PHI2, SolverConfig(s=3))
     assert np.array_equal(a.x, b.x)
-    assert a.f_trace == b.f_trace
+    assert a_fs == b_fs
     assert a.termination is b.termination
 
 

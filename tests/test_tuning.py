@@ -135,8 +135,7 @@ def test_certified_round_is_accepted_whatever_its_merit(monkeypatch):
         calls.append(config.s)
         return SolveReport(x=np.zeros(inst.n), support=np.arange(config.s),
                            objective=1.0, residual=1.0, iterations=1,
-                           backtracks_total=0, wall_time=0.0,
-                           termination=Termination.CERTIFIED)
+                           wall_time=0.0, termination=Termination.CERTIFIED)
 
     monkeypatch.setattr(tuning.nhtp, "solve", certified)
     inst = LcpInstance(np.eye(4), -np.ones(4))
