@@ -1,9 +1,10 @@
 """Tour of the merit functions.
 
 Every solver in this package minimizes a merit: a nonnegative function
-of (x, y) with y = M x + q that vanishes exactly when x solves the
-complementarity problem.  This script evaluates the four families on a
-tiny instance and shows what the solver sees.
+of (x, y) with y = M x + q that vanishes when x solves the
+complementarity problem: exactly for phi_r and psi2, and only to within
+the smoothing eps/2 per row for fb and min.  This script evaluates the
+four families on a tiny instance and shows what the solver sees.
 """
 
 import numpy as np

@@ -19,15 +19,19 @@ runs on; x is in the units of the file.
 
 Exit codes: 0 on success, 2 when the solver or pivoting run ends in a
 failure state (ray termination, pivot limit, failed line search), 1 on
-usage errors.  The environment variable SPARSE_LCP_LOG selects logging:
-"off" (default), "info", or "trace" (per-iteration detail), in any case;
-any other value is a usage error.
+usage and input errors, which main prints.  Every setting is checked
+before any file is read, except lemke's --max-pivots (checked once the
+instance is loaded) and gen's --out (opened once the instance is drawn).
+The environment variable SPARSE_LCP_LOG selects logging: "off"
+(default), "info", or "trace" (per-iteration detail), in any case; any
+other value is a usage error.
 """
 
 import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -119,6 +123,7 @@ def _print_point(inst, x, y=None):
 
 
 def _print_report(inst, report):
+    """Print a solve report and return its exit code."""
     print(f"termination: {report.termination.value}")
     print(f"objective:   {report.objective:.6e}")
     print(f"residual:    {report.residual:.6e}")
@@ -127,6 +132,7 @@ def _print_report(inst, report):
     if inst.ground_truth is not None:
         err = relative_error(x, inst.ground_truth)
         print(f"rel_error:   {err:.6e}")
+    return 2 if report.termination is Termination.LINE_SEARCH_FAILED else 0
 
 
 def _cmd_gen(args):
@@ -140,45 +146,35 @@ def _cmd_gen(args):
 
 def _cmd_solve(args):
     model = _merit(args)
-    inst = load_instance(args.instance)
+    if args.s is None and not args.warm_start_lemke:
+        raise ValueError("--s is required unless --warm-start-lemke sets it")
+    config = SolverConfig(s=1 if args.s is None else args.s,
+                          **_given(args, *_SOLVER_FLAGS))
     x0 = None
-    s = args.s
-    if args.warm_start_lemke:
-        if args.x0 is not None:
-            print("cannot combine --x0 with --warm-start-lemke",
-                  file=sys.stderr)
-            return 1
-        x0, _ = lemke_solve(inst)  # ray/pivot failures exit 2 via main
-        if s is None:
-            s = max(1, support_count(x0))
-    elif args.x0 is not None:
+    if args.x0 is not None:
         with open(args.x0) as fh:
             lines = fh.readlines()
         # loadtxt only warns on a file without values
         if not any(ln.partition("#")[0].strip() for ln in lines):
             raise ValueError(f"no values in --x0 file {args.x0}")
         x0 = np.loadtxt(lines).reshape(-1)
-    if s is None:
-        print("--s is required unless --warm-start-lemke sets it",
-              file=sys.stderr)
-        return 1
-    report = nhtp.solve(inst, model,
-                        SolverConfig(s=s, **_given(args, *_SOLVER_FLAGS)),
-                        x0=x0)
-    _print_report(inst, report)
-    return 2 if report.termination is Termination.LINE_SEARCH_FAILED else 0
+    inst = load_instance(args.instance)
+    if args.warm_start_lemke:
+        x0, _ = lemke_solve(inst)  # ray/pivot failures exit 2 via main
+        if args.s is None:
+            config = replace(config, s=max(1, support_count(x0)))
+    return _print_report(inst, nhtp.solve(inst, model, config, x0=x0))
 
 
 def _cmd_tune(args):
     model = _merit(args)
+    config = SolverConfig(s=1, **_given(args, *_SOLVER_FLAGS))
+    tuning = TuningConfig(**_given(args, "s0", "rho", "eps", "max_rounds"))
     inst = load_instance(args.instance)
-    report, rounds = nhtpt_solve(
-        inst, model, SolverConfig(s=1, **_given(args, *_SOLVER_FLAGS)),
-        TuningConfig(**_given(args, "s0", "rho", "eps", "max_rounds")))
+    report, rounds = nhtpt_solve(inst, model, config, tuning)
     print(f"rounds:      {rounds}")
     print(f"final s:     {report.support.size}")
-    _print_report(inst, report)
-    return 2 if report.termination is Termination.LINE_SEARCH_FAILED else 0
+    return _print_report(inst, report)
 
 
 def _cmd_lemke(args):
@@ -218,8 +214,7 @@ def _cmd_bench(args):
     try:
         grid = _parse_grid(args.grid)
     except ValueError as exc:
-        print(f"bad --grid: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"bad --grid: {exc}") from exc
     spec = ExperimentSpec(args.experiment, grid, args.out,
                           measure_time=not args.no_timing,
                           parallel=args.parallel,
@@ -246,10 +241,11 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run the Newton pursuit solver")
     _add_solver_flags(p)
-    p.add_argument("--x0", help="file of starting-point values")
-    p.add_argument("--warm-start-lemke", action="store_true",
-                   help="start from the pivoting solution; sets --s from "
-                        "its support when --s is absent")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--x0", help="file of starting-point values")
+    start.add_argument("--warm-start-lemke", action="store_true",
+                       help="start from the pivoting solution; sets --s "
+                            "from its support when --s is absent")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("tune", help="geometric sparsity-budget search")

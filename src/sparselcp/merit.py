@@ -1,10 +1,12 @@
 """Complementarity merit functions and their derivatives.
 
 Every merit here has the separable form f(x) = sum_i psi(x_i, y_i) with
-y = M x + q, where the scalar kernel psi(a, b) is nonnegative and vanishes
-exactly when a >= 0, b >= 0, a*b = 0.  Minimizing f to zero therefore
-solves the complementarity problem.  The module exposes the value, the
-gradient
+y = M x + q, where the scalar kernel psi(a, b) is nonnegative.  For phi_r
+and psi2 it vanishes exactly when a >= 0, b >= 0, a*b = 0, so minimizing
+f to zero solves the complementarity problem.  The smoothed fb and min
+kernels vanish there only to within eps/2: psi(0, 0) = eps/2 = 5e-11 on
+a degenerate row, and psi(1, 0) = 1.25e-21.  The module exposes the
+value, the gradient
 
     grad f(x) = g_a + M^T g_b,   (g_a)_i = d psi/d a,  (g_b)_i = d psi/d b,
 

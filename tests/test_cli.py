@@ -143,13 +143,16 @@ def test_solve_warm_start_sets_budget(tmp_path, capsys):
 
 
 def test_warm_start_conflicts_with_start_file(tmp_path, capsys):
+    # the two starts are one argparse exclusive group: a usage error
     path = gen_planted(tmp_path)
     x0 = tmp_path / "x0.txt"
     np.savetxt(x0, np.zeros(40))
     capsys.readouterr()
-    code = main(["solve", "--instance", path, "--x0", str(x0),
-                 "--warm-start-lemke"])
-    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--instance", path, "--x0", str(x0),
+              "--warm-start-lemke"])
+    assert exc.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -198,16 +201,35 @@ def test_non_finite_instance_is_an_input_error(tmp_path, capsys):
     assert "error:" in err and "finite" in err
 
 
-def test_non_finite_settings_are_input_errors(tmp_path, capsys):
-    path = gen_planted(tmp_path)
-    for cmd, flag, value in (("solve", "--eta", "inf"),
-                             ("solve", "--tol", "nan"),
-                             ("solve", "--r", "inf"),
-                             ("tune", "--rho", "inf"),
-                             ("tune", "--eps", "inf")):
-        budget = ["--s", "2"] if cmd == "solve" else []
-        assert main([cmd, "--instance", path, flag, value, *budget]) == 1
-        assert "error:" in capsys.readouterr().err
+def test_non_finite_settings_are_input_errors(tmp_path, capsys, monkeypatch):
+    # every setting is checked before a file is read: the instance named
+    # here does not exist, and each run reports its setting, not the file
+    def no_lemke(inst, max_pivots=None):
+        raise AssertionError("lemke ran before the settings were checked")
+
+    monkeypatch.setattr(cli, "lemke_solve", no_lemke)
+    absent = str(tmp_path / "absent.txt")
+    x0 = str(tmp_path / "absent_x0.txt")
+    for argv, message in (
+            (["solve", "--s", "2", "--eta", "inf"], "eta must be positive"),
+            (["solve", "--s", "2", "--tol", "nan"], "tol must be nonnegative"),
+            (["solve", "--s", "2", "--maxiter", "0"], "max_iter must be"),
+            (["solve", "--s", "2", "--r", "inf"], "r must be finite"),
+            (["solve", "--s", "0"], "s must be at least 1"),
+            (["solve"], "--s is required"),
+            (["solve", "--warm-start-lemke", "--eta", "nan"],
+             "eta must be positive"),
+            (["solve", "--s", "2", "--x0", x0], x0),
+            (["tune", "--rho", "inf"], "rho must be finite"),
+            (["tune", "--rho", "1"], "rho must be finite"),
+            (["tune", "--eps", "inf"], "eps must be positive"),
+            (["tune", "--s0", "0"], "s0 must be at least 1"),
+            (["tune", "--max-rounds", "0"], "max_rounds must be at least 1"),
+            (["tune", "--maxiter", "0"], "max_iter must be at least 1")):
+        assert main([*argv, "--instance", absent]) == 1, argv
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err, argv
+        assert "absent.txt" not in err, argv
 
 
 @pytest.mark.parametrize("cmd, merit, r", [("solve", "fb", "-7"),
