@@ -105,9 +105,7 @@ class ExperimentSpec:
         if operator.index(self.trials) < 1:
             raise ValueError("trials must be at least 1")
         operator.index(self.base_seed)
-        out_dir = Path(self.output_path).parent
-        if not out_dir.is_dir():
-            raise ValueError(f"output directory {out_dir} does not exist")
+        _check_out_dir(self.output_path)
         _, trial, cell_rows = _EXPERIMENTS[self.experiment]
         if trial is _success_trial and self.example not in PLANTED:
             raise ValueError("success sweeps need a ground-truth family")
@@ -119,6 +117,13 @@ class ExperimentSpec:
         ns = {g.n for g in self.grid}
         if cell_rows is _merit_rows and len(ns) < len(self.grid):
             raise ValueError("merit_comparison trace files need distinct n")
+
+
+def _check_out_dir(path):
+    """Raise ValueError unless the directory that would hold path exists."""
+    out_dir = Path(path).parent
+    if not out_dir.is_dir():
+        raise ValueError(f"output directory {out_dir} does not exist")
 
 
 def _star_of(spec, point):

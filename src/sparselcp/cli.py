@@ -13,15 +13,14 @@ max(||x_-||, ||y_-||, ||x * y||) / max(1, ||q||) in inf-norms, with
 y = M x + q computed from the printed x (core.certificate), which drops
 the entries core.support_mask reads as round-off.  It needs no
 ground truth; a solve ends `certified` when its own certificate is at
-most 1e-12.  The printed objective and residual, like --eta and --tol,
-are in the equilibrated LCP (M / m_scale, q / q_scale) that nhtp.solve
+most 1e-12.  The printed objective and residual, like --eta, are in
+the equilibrated LCP (M / m_scale, q / q_scale) that nhtp.solve
 runs on; x is in the units of the file.
 
 Exit codes: 0 on success, 2 when the solver or pivoting run ends in a
 failure state (ray termination, pivot limit, failed line search), 1 on
-usage and input errors, which main prints.  Every setting is checked
-before any file is read, except lemke's --max-pivots (checked once the
-instance is loaded) and gen's --out (opened once the instance is drawn).
+usage and input errors, which main prints.  Every setting, and gen's
+--out directory, is checked before any file is read or instance drawn.
 The environment variable SPARSE_LCP_LOG selects logging: "off"
 (default), "info", or "trace" (per-iteration detail), in any case; any
 other value is a usage error.
@@ -36,7 +35,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import nhtp
-from .bench import EXPERIMENTS, ExperimentSpec, GridPoint, run_experiment
+from .bench import (EXPERIMENTS, ExperimentSpec, GridPoint, _check_out_dir,
+                    run_experiment)
 from .core import (SolverConfig, Termination, _fmt, certificate,
                    load_instance, save_instance, support_mask)
 from .lemke import PivotLimit, RayTermination, lemke_solve
@@ -83,7 +83,8 @@ def _merit(args):
     return MeritModel(args.merit, **_given(args, "r"))
 
 
-_SOLVER_FLAGS = ("eta", "tol", "max_iter")
+_SOLVER_FLAGS = ("eta",)
+_TUNING_FLAGS = ("s0", "rho", "eps")
 
 
 def _add_solver_flags(p, with_s=True):
@@ -96,11 +97,6 @@ def _add_solver_flags(p, with_s=True):
     p.add_argument("--eta", type=float,
                    help="threshold step, in the solver's equilibrated "
                         "units (default 2)")
-    p.add_argument("--tol", type=float,
-                   help="stationarity tolerance, in the solver's "
-                        "equilibrated units")
-    p.add_argument("--maxiter", type=int, dest="max_iter",
-                   metavar="MAXITER", help="iteration cap")
 
 
 def _print_point(inst, x, y=None):
@@ -138,6 +134,7 @@ def _print_report(inst, report):
 def _cmd_gen(args):
     spec = GeneratorSpec(args.example, args.n,
                          **_given(args, "s_star", "m", "seed"))
+    _check_out_dir(args.out)
     inst = generate(spec)
     save_instance(inst, args.out)
     print(f"wrote {args.out} (n={inst.n}, example={args.example})")
@@ -157,7 +154,10 @@ def _cmd_solve(args):
         # loadtxt only warns on a file without values
         if not any(ln.partition("#")[0].strip() for ln in lines):
             raise ValueError(f"no values in --x0 file {args.x0}")
-        x0 = np.loadtxt(lines).reshape(-1)
+        try:
+            x0 = np.loadtxt(lines).reshape(-1)
+        except ValueError as exc:
+            raise ValueError(f"{args.x0}: {exc}") from exc
     inst = load_instance(args.instance)
     if args.warm_start_lemke:
         x0, _ = lemke_solve(inst)  # ray/pivot failures exit 2 via main
@@ -169,7 +169,7 @@ def _cmd_solve(args):
 def _cmd_tune(args):
     model = _merit(args)
     config = SolverConfig(s=1, **_given(args, *_SOLVER_FLAGS))
-    tuning = TuningConfig(**_given(args, "s0", "rho", "eps", "max_rounds"))
+    tuning = TuningConfig(**_given(args, *_TUNING_FLAGS))
     inst = load_instance(args.instance)
     report, rounds = nhtpt_solve(inst, model, config, tuning)
     print(f"rounds:      {rounds}")
@@ -179,7 +179,7 @@ def _cmd_tune(args):
 
 def _cmd_lemke(args):
     inst = load_instance(args.instance)
-    x, pivots = lemke_solve(inst, **_given(args, "max_pivots"))
+    x, pivots = lemke_solve(inst)
     y = inst.M @ x + inst.q
     f2 = value_from_xy(MeritModel.phi_r(2), x, y)
     print(f"pivots:      {pivots}")
@@ -254,12 +254,10 @@ def build_parser():
     p.add_argument("--rho", type=float, help="budget growth factor")
     p.add_argument("--eps", type=float,
                    help="accept when the merit drops below this")
-    p.add_argument("--max-rounds", type=int)
     p.set_defaults(fn=_cmd_tune)
 
     p = sub.add_parser("lemke", help="complementary pivoting baseline")
     p.add_argument("--instance", required=True)
-    p.add_argument("--max-pivots", type=int)
     p.set_defaults(fn=_cmd_lemke)
 
     p = sub.add_parser("bench", help="run an experiment sweep")

@@ -131,41 +131,34 @@ class SolverConfig:
 
     s : sparsity budget (1 <= s <= n, checked at solve time)
     eta : thresholding step, positive and finite
-    tol : halting threshold on the stationarity residual, finite
-    max_iter : outer iteration cap
 
-    eta and tol are in the equilibrated LCP (M / m_scale, q / q_scale)
-    that nhtp.solve runs on, so the same eta fits every scale of M and q.
+    eta is in the equilibrated LCP (M / m_scale, q / q_scale) that
+    nhtp.solve runs on, so the same eta fits every scale of M and q.
     Of eta = 0.5, 1, 2, 3 and 5, the values 0.5, 2 and 5 recovered all 93
     planted solutions of phi_2, phi_3 and psi2 at s = s* on sdp_gaussian,
     sdp_uniform and zmatrix (n = 1000 and 5000).  On 24 phi_2 solves of
     sdp_gaussian at n = 5000, 5 halved eta and 2 was faster than 0.5,
     never halving.
 
-    The Armijo slope fraction (1e-4) and backtracking shrink factor (0.5),
-    the descent-test curvature floors, the objective-stall threshold and
-    the backtracking budget are fixed constants of the nhtp module.
+    The residual tolerance (1e-10), the iteration cap (2000), the Armijo
+    slope fraction (1e-4) and backtracking shrink factor (0.5), the
+    descent-test curvature floors, the objective-stall threshold and the
+    backtracking budget are fixed constants of the nhtp module.
     """
 
     s: int
     eta: float = 2.0
-    tol: float = 1e-10
-    max_iter: int = 2000
 
     def __post_init__(self):
         if operator.index(self.s) < 1:
             raise ValueError("s must be at least 1")
         if not 0 < self.eta < np.inf:
             raise ValueError("eta must be positive and finite")
-        if not 0 <= self.tol < np.inf:
-            raise ValueError("tol must be nonnegative and finite")
-        if operator.index(self.max_iter) < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 class Termination(enum.Enum):
     """Why a solve ended.  RESIDUAL_MET: the stationarity residual fell to
-    tol, so the point is s-stationary, as a spurious stationary point
+    1e-10, so the point is s-stationary, as a spurious stationary point
     with a positive merit is too.  CERTIFIED: the point passes
     certificate() at 1e-12 on the solver's equilibrated LCP, a solution
     whatever its residual.  OBJECTIVE_STALLED: the merit stopped falling
@@ -192,7 +185,7 @@ class SolveReport:
 
     x is in the units of the instance's (M, q).  objective and residual
     are in the equilibrated LCP (M / m_scale, q / q_scale) that
-    nhtp.solve runs on, as SolverConfig's eta and tol are.
+    nhtp.solve runs on, as SolverConfig's eta is.
     """
 
     x: np.ndarray

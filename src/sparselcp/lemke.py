@@ -25,7 +25,6 @@ bit what the full n x (2n+2) tableau gives, in half its memory.
 """
 
 import logging
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,8 @@ logger = logging.getLogger("sparselcp.lemke")
 
 # ratio-test floor on the driving column, and relative width of a tie
 _PIVOT_TOL = 1e-9
+# pivots allowed per row of M before the run raises PivotLimit
+_PIVOTS_PER_ROW = 10
 
 
 class RayTermination(Exception):
@@ -157,21 +158,16 @@ def _lexmin_row(tab, d, tied):
     return tied[0]
 
 
-def lemke_solve(inst, max_pivots=None):
+def lemke_solve(inst):
     """Solve the LCP (M, q); returns (x, pivots).
 
     Only driving-column entries above 1e-9 enter the ratio test, and rows
     whose ratio is within 1e-9 * max(1, |r_min|) of the minimum ratio
-    r_min are tied and go to the lexicographic rule.  max_pivots defaults
-    to 10n.  Raises ValueError for max_pivots < 1, RayTermination when
-    the path escapes to infinity and PivotLimit when the pivot budget
-    runs out.
+    r_min are tied and go to the lexicographic rule.  Raises
+    RayTermination when the path escapes to infinity and PivotLimit after
+    10n pivots.
     """
     n = inst.n
-    if max_pivots is None:
-        max_pivots = 10 * n
-    if operator.index(max_pivots) < 1:
-        raise ValueError("max_pivots must be at least 1")
     q = inst.q
     if np.all(q >= 0):
         return np.zeros(n), 0
@@ -185,8 +181,8 @@ def lemke_solve(inst, max_pivots=None):
     driving = _complement(leaving, n)
     logger.info("lemke start: n=%d, first leaving w_%d", n, leaving)
     while True:
-        if pivots >= max_pivots:
-            raise PivotLimit(f"no termination within {max_pivots} pivots")
+        if pivots >= _PIVOTS_PER_ROW * n:
+            raise PivotLimit(f"no termination within {pivots} pivots")
         col = tab.body[:, tab.slot(driving)]
         elig = col > _PIVOT_TOL
         if not np.any(elig):

@@ -16,16 +16,16 @@ columns M[:, T] once: both Hessian blocks of the Newton system and the
 line search's two products read that one n x s copy, and it is dropped
 as soon as the search returns.
 
-Each iteration's head tests, in order: the stationarity residual (unless
-the last step stalled), the certificate of core.certificate at 1e-12,
-the objective stall, and the iteration cap.  The first that holds ends
-the solve as RESIDUAL_MET, CERTIFIED, OBJECTIVE_STALLED or
-ITERATION_CAP.  Otherwise a short block principal pivoting finish
-(_finish) tries to turn the current support into an exact solution of
-the LCP; when it certifies one that does not raise the merit, that
-point becomes the next iterate and the head ends the solve.
-The certificate, not the residual, ends many solves at a solution:
-degenerate rows with y_i ~ 0 can keep the residual above tol there.
+Each iteration's head tests, in order: the stationarity residual at
+1e-10 (unless the last step stalled), the certificate of
+core.certificate at 1e-12, the objective stall, and the cap of 2000
+iterations.  The first that holds ends the solve as RESIDUAL_MET,
+CERTIFIED, OBJECTIVE_STALLED or ITERATION_CAP.  Otherwise a short block
+principal pivoting finish (_finish) tries to turn the current support
+into an exact solution of the LCP; when it certifies one that does not
+raise the merit, that point becomes the next iterate and the head ends
+the solve.  The certificate, not the residual, ends many solves at a solution:
+degenerate rows with y_i ~ 0 can keep the residual above 1e-10 there.
 
 The solver runs in equilibrated units: it iterates on u = x / nu for
 the LCP (M / mu, q / rho), with mu = inst.m_scale = max |M_ij| (1 when
@@ -33,13 +33,13 @@ M = 0), rho = inst.q_scale = max(1, ||q||_inf) and nu = rho / mu.  u
 solves it, with v = M u / mu + q / rho, exactly when x = nu u solves
 (M, q), with y = rho v.  M is never copied: the helpers take the
 instance and scale = 1 / mu, which rides on every product with inst.M,
-the pairing the merit functions use, plus q = q / rho.  eta, tol, the
-residual, the certificate test and every merit value the solve reports
-(objective, callback's f) are in these units; only the points it hands
-out, the report's x and callback's x, are in the original ones.  So one
-default eta of 2 suits every scale of data: on 24 instances of
-sdp_gaussian at n = 5000 (seeds 0-18) it halves eta 0 times.  And f(0)
-stays finite where ||q||^2 would overflow.
+the pairing the merit functions use, plus q = q / rho.  eta, the
+residual and its tolerance, the certificate test and every merit value
+the solve reports (objective, callback's f) are in these units; only the
+points it hands out, the report's x and callback's x, are in the
+original ones.  So one default eta of 2 suits every scale of data: on 24
+instances of sdp_gaussian at n = 5000 (seeds 0-18) it halves eta 0
+times.  And f(0) stays finite where ||q||^2 would overflow.
 
 The threshold step eta controls only the working-set selection (and the
 residual normalization), not the step length.  A fixed eta can be too
@@ -68,6 +68,10 @@ logger = logging.getLogger("sparselcp.nhtp")
 # applies when x already vanishes off the working set
 _GAMMA_ACTIVE = 1e-4
 _GAMMA_INACTIVE = 1e-10
+# stationarity residual at or below which the solve ends RESIDUAL_MET
+_TOL = 1e-10
+# iterations after which the solve ends ITERATION_CAP
+_MAX_ITER = 2000
 # relative objective change below which the solve reports a stall
 _OBJ_TOL = 1e-10
 # Armijo slope fraction and backtracking shrink factor of the line search
@@ -288,7 +292,7 @@ def solve(inst, model, config, x0=None, callback=None):
     while True:
         T = select_support(u, g, eta, s)
         res = residual(u, g, T, eta, s)
-        if not stalled and res <= config.tol:
+        if not stalled and res <= _TOL:
             termination = Termination.RESIDUAL_MET
             break
         if certificate(u, v, q) <= _CERT_TOL:
@@ -297,7 +301,7 @@ def solve(inst, model, config, x0=None, callback=None):
         if stalled:
             termination = Termination.OBJECTIVE_STALLED
             break
-        if k >= config.max_iter:
+        if k >= _MAX_ITER:
             termination = Termination.ITERATION_CAP
             break
         step = None

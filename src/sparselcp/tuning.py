@@ -19,6 +19,9 @@ from .lemke import lemke_solve
 
 logger = logging.getLogger("sparselcp.tuning")
 
+# solver invocations after which the search returns its best round
+_MAX_ROUNDS = 30
+
 
 @dataclasses.dataclass(frozen=True)
 class TuningConfig:
@@ -29,13 +32,13 @@ class TuningConfig:
     eps : accept a round once the merit, in the solver's equilibrated
           units (SolveReport.objective), drops below this (finite, > 0);
           a CERTIFIED round is accepted whatever its merit
-    max_rounds : hard cap on solver invocations
+
+    The round cap of 30 is a fixed constant of this module.
     """
 
     s0: int = None
     rho: float = None
     eps: float = 1e-8
-    max_rounds: int = 30
 
     def __post_init__(self):
         if self.s0 is not None and operator.index(self.s0) < 1:
@@ -44,8 +47,6 @@ class TuningConfig:
             raise ValueError("rho must be finite and exceed 1")
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
-        if operator.index(self.max_rounds) < 1:
-            raise ValueError("max_rounds must be at least 1")
 
     def s0_for(self, n):
         if self.s0 is not None:
@@ -62,11 +63,11 @@ def nhtpt_solve(inst, model, config, tuning=None):
     """Run the pursuit with a geometrically growing sparsity budget.
 
     Each round solves from x0 = 0 with the current budget s in place of
-    config.s, so config supplies only eta, tol and max_iter.  A round is
-    accepted as soon as it ends CERTIFIED or its merit value falls below
-    tuning.eps, and otherwise grows s to ceil(rho * s), capped at n.
-    Returns (report, rounds) where rounds counts solver invocations; an
-    accepted report keeps its termination.  If no round is accepted the
+    config.s, so config supplies only eta.  A round is accepted as soon
+    as it ends CERTIFIED or its merit value falls below tuning.eps, and
+    otherwise grows s to ceil(rho * s), capped at n.  Returns (report,
+    rounds) where rounds counts solver invocations; an accepted report
+    keeps its termination.  If none of at most 30 rounds is accepted the
     best-objective report is returned flagged ITERATION_CAP, unless its
     line search failed: that report keeps LINE_SEARCH_FAILED.
     """
@@ -77,7 +78,7 @@ def nhtpt_solve(inst, model, config, tuning=None):
     rho = tuning.rho_for(n)
     best = None
     rounds = 0
-    while rounds < tuning.max_rounds:
+    while rounds < _MAX_ROUNDS:
         report = nhtp.solve(inst, model, dataclasses.replace(config, s=s))
         rounds += 1
         logger.info("tuning round %d: s=%d f=%.6e", rounds, s,

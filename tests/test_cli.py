@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparselcp import bench, cli, nhtp
+from sparselcp import bench, cli, lemke, nhtp
 from sparselcp.cli import build_parser, main
 from sparselcp.core import (LcpInstance, SolverConfig, _fmt, certificate,
                             load_instance, save_instance)
+from sparselcp.tuning import TuningConfig
 
 
 def write_instance(tmp_path, M, q, name="inst.txt", **kw):
@@ -37,6 +38,19 @@ def test_gen_writes_loadable_instance(tmp_path, capsys):
     assert inst.n == 40
     assert inst.ground_truth is not None
     assert "wrote" in capsys.readouterr().out
+
+
+def test_gen_checks_the_output_directory_before_the_draw(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_draw(spec):
+        raise AssertionError("the instance was drawn before --out was checked")
+
+    monkeypatch.setattr(cli, "generate", no_draw)
+    out = tmp_path / "nodir" / "x.txt"
+    assert main(["gen", "--example", "sdp_gaussian", "--n", "2000",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"output directory {out.parent} does not exist" in err
 
 
 def test_solve_reports_solution(tmp_path, capsys):
@@ -79,13 +93,16 @@ def printed_point(out, n):
 
 @pytest.mark.parametrize("argv, termination", [
     (("solve", "--s", "2"), "residual_met"),
-    (("solve", "--s", "2", "--tol", "0"), "certified"),
-    (("tune", "--tol", "0"), "certified"),
+    (("solve", "--s", "2"), "certified"),
+    (("tune",), "certified"),
     (("lemke",), None),
 ])
-def test_reports_print_the_certificate(tmp_path, capsys, argv, termination):
-    # --tol 0 leaves the residual stop out of reach, so the certificate
-    # ends the solve; that is a success and exits 0
+def test_reports_print_the_certificate(tmp_path, capsys, monkeypatch, argv,
+                                       termination):
+    # a residual tolerance of 0 leaves the residual stop out of reach, so
+    # the certificate ends the solve; that is a success and exits 0
+    if termination == "certified":
+        monkeypatch.setattr(nhtp, "_TOL", 0.0)
     path = gen_planted(tmp_path)
     inst = load_instance(path)
     capsys.readouterr()
@@ -100,13 +117,33 @@ def test_reports_print_the_certificate(tmp_path, capsys, argv, termination):
 
 def test_solver_flags_are_the_config_fields():
     # a field removed without its flag would fail only once a user passed
-    # the flag: SolverConfig gets an unknown keyword, and the TypeError
+    # the flag: the config gets an unknown keyword, and the TypeError
     # escapes main
     fields = [f.name for f in dataclasses.fields(SolverConfig)]
     assert sorted(cli._SOLVER_FLAGS) == sorted(set(fields) - {"s"})
-    for cmd in ("solve", "tune"):
+    fields = [f.name for f in dataclasses.fields(TuningConfig)]
+    assert sorted(cli._TUNING_FLAGS) == sorted(fields)
+    for cmd, flags in (("solve", cli._SOLVER_FLAGS),
+                       ("tune", cli._SOLVER_FLAGS + cli._TUNING_FLAGS)):
         args = build_parser().parse_args([cmd, "--instance", "unread.txt"])
-        assert set(cli._SOLVER_FLAGS) <= set(vars(args))
+        assert set(flags) <= set(vars(args))
+
+
+@pytest.mark.parametrize("cmd, flag", [("solve", "--tol"),
+                                       ("solve", "--maxiter"),
+                                       ("tune", "--max-rounds"),
+                                       ("lemke", "--max-pivots")])
+def test_stopping_caps_are_not_flags(tmp_path, capsys, cmd, flag):
+    # the caps are module constants: --help omits their old flags, and
+    # passing one is a usage error, exit 1 before the instance is read
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert flag not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--instance", str(tmp_path / "absent.txt"), flag, "0"])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
 
 def test_solve_requires_budget(tmp_path, capsys):
@@ -204,28 +241,27 @@ def test_non_finite_instance_is_an_input_error(tmp_path, capsys):
 def test_non_finite_settings_are_input_errors(tmp_path, capsys, monkeypatch):
     # every setting is checked before a file is read: the instance named
     # here does not exist, and each run reports its setting, not the file
-    def no_lemke(inst, max_pivots=None):
+    def no_lemke(inst):
         raise AssertionError("lemke ran before the settings were checked")
 
     monkeypatch.setattr(cli, "lemke_solve", no_lemke)
     absent = str(tmp_path / "absent.txt")
     x0 = str(tmp_path / "absent_x0.txt")
+    ragged = tmp_path / "ragged_x0.txt"
+    ragged.write_text("1 2\nabc\n")
     for argv, message in (
             (["solve", "--s", "2", "--eta", "inf"], "eta must be positive"),
-            (["solve", "--s", "2", "--tol", "nan"], "tol must be nonnegative"),
-            (["solve", "--s", "2", "--maxiter", "0"], "max_iter must be"),
             (["solve", "--s", "2", "--r", "inf"], "r must be finite"),
             (["solve", "--s", "0"], "s must be at least 1"),
             (["solve"], "--s is required"),
             (["solve", "--warm-start-lemke", "--eta", "nan"],
              "eta must be positive"),
             (["solve", "--s", "2", "--x0", x0], x0),
+            (["solve", "--s", "2", "--x0", str(ragged)], f"{ragged}: "),
             (["tune", "--rho", "inf"], "rho must be finite"),
             (["tune", "--rho", "1"], "rho must be finite"),
             (["tune", "--eps", "inf"], "eps must be positive"),
-            (["tune", "--s0", "0"], "s0 must be at least 1"),
-            (["tune", "--max-rounds", "0"], "max_rounds must be at least 1"),
-            (["tune", "--maxiter", "0"], "max_iter must be at least 1")):
+            (["tune", "--s0", "0"], "s0 must be at least 1")):
         assert main([*argv, "--instance", absent]) == 1, argv
         err = capsys.readouterr().err
         assert "error:" in err and message in err, argv
@@ -296,17 +332,11 @@ def test_point_certificate_is_that_of_the_trimmed_point(capsys):
     assert "certificate: 0.000000e+00\n" in capsys.readouterr().out
 
 
-def test_lemke_pivot_limit_exit(tmp_path, capsys):
+def test_lemke_pivot_limit_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lemke, "_PIVOTS_PER_ROW", 0)
     path = write_instance(tmp_path, np.eye(2), [-1.0, -2.0])
-    assert main(["lemke", "--instance", path, "--max-pivots", "1"]) == 2
+    assert main(["lemke", "--instance", path]) == 2
     assert "pivot limit" in capsys.readouterr().err
-
-
-def test_lemke_bad_arguments_are_usage_errors(tmp_path, capsys):
-    path = write_instance(tmp_path, np.eye(2), [-1.0, -2.0])
-    assert main(["lemke", "--instance", path, "--max-pivots", "0"]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "pivot limit" not in err
 
 
 def test_log_levels(tmp_path):

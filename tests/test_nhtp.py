@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dense_merit import dense_gradient, dense_hessian
-from sparselcp import nhtp
+from sparselcp import nhtp, tuning
 from sparselcp.core import (LcpInstance, SolverConfig, Termination,
                             certificate, top_s_by_magnitude)
 from sparselcp.merit import (MeritModel, gradient_from_xy, merit_gradient,
@@ -250,7 +250,7 @@ def test_report_fields_are_consistent():
         rep.residual, rel=1e-3, abs=1e-12)
 
 
-def test_working_sets_are_sorted_index_arrays_of_size_s():
+def test_working_sets_are_sorted_index_arrays_of_size_s(monkeypatch):
     # real outputs only: a selection, a solve from zero, a solve whose
     # oversized start is trimmed, and one budget-search round
     def check(support, s, x=None):
@@ -277,8 +277,9 @@ def test_working_sets_are_sorted_index_arrays_of_size_s():
     rep = solve(pad, PHI2, SolverConfig(s=3), x0=np.eye(5)[4])
     assert rep.iterations == 0 and rep.support.tolist() == [0, 1, 4]
     check(rep.support, 3, rep.x)
+    monkeypatch.setattr(tuning, "_MAX_ROUNDS", 1)
     rep, rounds = nhtpt_solve(inst, PHI2, SolverConfig(s=1),
-                              TuningConfig(s0=2, max_rounds=1))
+                              TuningConfig(s0=2))
     assert rounds == 1
     check(rep.support, 2, rep.x)
 
@@ -599,10 +600,12 @@ def test_solve_input_validation():
             solve(inst, PHI2, SolverConfig(s=1), x0=np.array([1.0, bad]))
 
 
-def test_iteration_cap_termination():
+def test_iteration_cap_termination(monkeypatch):
+    monkeypatch.setattr(nhtp, "_MAX_ITER", 1)
+    monkeypatch.setattr(nhtp, "_TOL", 0.0)
     spec = GeneratorSpec("sdp_uniform_nox", 30, s_star=3, seed=2)
     inst = generate(spec)
-    rep = solve(inst, PHI2, SolverConfig(s=3, max_iter=1, tol=0.0))
+    rep = solve(inst, PHI2, SolverConfig(s=3))
     assert rep.termination in (Termination.ITERATION_CAP,
                                Termination.OBJECTIVE_STALLED)
     if rep.termination is Termination.ITERATION_CAP:
