@@ -1,9 +1,10 @@
 """Find the sparsity level when nobody tells you.
 
 The tuning loop runs the Newton pursuit with a doubling budget schedule
-s = s0, rho*s0, rho^2*s0, ... and accepts the first budget whose final
-objective certifies a solution.  A pivoting run can also seed the budget
-directly from its solution's support.
+s = s0, rho*s0, rho^2*s0, ... and accepts the first budget whose run
+ends certified or whose merit falls below eps (1e-8): a small merit
+alone does not certify a solution.  A pivoting run can also seed the
+budget directly from its solution's support.
 """
 
 from sparselcp import (GeneratorSpec, MeritModel, SolverConfig, TuningConfig,

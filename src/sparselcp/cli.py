@@ -8,20 +8,22 @@ tune    run the geometric sparsity-budget search
 lemke   run the complementary pivoting baseline
 bench   run an experiment sweep and write CSV output
 
-solve, tune and lemke print the point they found and its certificate:
-max(||x_-||, ||y_-||, ||x * y||) / max(1, ||q||) in inf-norms, with
-y = M x + q computed from the printed x (core.certificate), which drops
-the entries core.support_mask reads as round-off.  It needs no
-ground truth; a solve ends `certified` when its own certificate is at
-most 1e-12.  The printed objective and residual, like --eta, are in
-the equilibrated LCP (M / m_scale, q / q_scale) that nhtp.solve
-runs on; x is in the units of the file.
+solve, tune and lemke print the point they found through one printer.
+It drops the entries core.support_mask reads as round-off, forms
+y = M x + q at the printed x, and prints its certificate:
+max(||x_-||, ||y_-||, ||x * y||) / max(1, ||q||) in inf-norms
+(core.certificate), its nonzeros and, when the file holds x*,
+rel_error = ||x - x*|| / ||x*||.  The certificate needs no ground
+truth; a solve ends `certified` when its own certificate is at most
+1e-12.  The printed objective and residual, like --eta, are in the
+equilibrated LCP (M / m_scale, q / q_scale) that nhtp.solve runs on;
+x is in the units of the file.
 
-Exit codes: 0 on success, 2 when the solver or pivoting run ends in a
-failure state (ray termination, pivot limit, failed line search), 1 on
-usage and input errors, which main prints.  Every setting, and gen's
---out directory, is checked before any file is read or instance drawn.
-The environment variable SPARSE_LCP_LOG selects logging: "off"
+Exit codes: 0 on success, 2 when the solver or pivoting run gives up
+(iteration cap, failed line search, ray termination, pivot limit), 1
+on usage and input errors, which main prints.  Every setting, and
+gen's --out directory, is checked before any file is read or instance
+drawn.  The environment variable SPARSE_LCP_LOG selects logging: "off"
 (default), "info", or "trace" (per-iteration detail), in any case; any
 other value is a usage error.
 """
@@ -40,7 +42,7 @@ from .bench import (EXPERIMENTS, ExperimentSpec, GridPoint, _check_out_dir,
 from .core import (SolverConfig, Termination, _fmt, certificate,
                    load_instance, save_instance, support_mask)
 from .lemke import PivotLimit, RayTermination, lemke_solve
-from .merit import KINDS, MeritModel, value_from_xy
+from .merit import KINDS, MeritModel, merit_value
 from .problems import EXAMPLES, GeneratorSpec, generate, relative_error
 from .tuning import TuningConfig, nhtpt_solve, support_count
 
@@ -99,23 +101,18 @@ def _add_solver_flags(p, with_s=True):
                         "units (default 2)")
 
 
-def _print_point(inst, x, y=None):
-    """Print x less its round-off entries, and its certificate; returns it.
-
-    y, when given, is M x + q at the x passed in.  The certificate reads
-    it unless trimming dropped an entry; then M x + q is formed again at
-    the trimmed point."""
-    kept = np.where(support_mask(x), x, 0.0)
-    if y is None or not np.array_equal(kept, x):
-        y = inst.M @ kept + inst.q
-    x = kept
-    cert = certificate(x, y, inst.q)
-    print(f"certificate: {cert:.6e}")
+def _print_point(inst, x):
+    """Print x less its round-off entries, with the certificate of that
+    point, its nonzeros and, when the instance holds x*, rel_error."""
+    x = np.where(support_mask(x), x, 0.0)
+    print(f"certificate: {certificate(x, inst.M @ x + inst.q, inst.q):.6e}")
     nz = np.flatnonzero(x)
     print(f"nonzeros:    {nz.size}")
     for i in nz:
         print(f"x[{i + 1}] = {_fmt(x[i])}")
-    return x
+    if inst.ground_truth is not None:
+        err = relative_error(x, inst.ground_truth)
+        print(f"rel_error:   {err:.6e}")
 
 
 def _print_report(inst, report):
@@ -124,11 +121,10 @@ def _print_report(inst, report):
     print(f"objective:   {report.objective:.6e}")
     print(f"residual:    {report.residual:.6e}")
     print(f"iterations:  {report.iterations}")
-    x = _print_point(inst, report.x)
-    if inst.ground_truth is not None:
-        err = relative_error(x, inst.ground_truth)
-        print(f"rel_error:   {err:.6e}")
-    return 2 if report.termination is Termination.LINE_SEARCH_FAILED else 0
+    _print_point(inst, report.x)
+    gave_up = report.termination in (Termination.ITERATION_CAP,
+                                     Termination.LINE_SEARCH_FAILED)
+    return 2 if gave_up else 0
 
 
 def _cmd_gen(args):
@@ -180,11 +176,9 @@ def _cmd_tune(args):
 def _cmd_lemke(args):
     inst = load_instance(args.instance)
     x, pivots = lemke_solve(inst)
-    y = inst.M @ x + inst.q
-    f2 = value_from_xy(MeritModel.phi_r(2), x, y)
     print(f"pivots:      {pivots}")
-    print(f"f2:          {f2:.6e}")
-    _print_point(inst, x, y)
+    print(f"f2:          {merit_value(MeritModel.phi_r(2), inst, x):.6e}")
+    _print_point(inst, x)
     return 0
 
 

@@ -67,6 +67,8 @@ def test_solve_reports_solution(tmp_path, capsys):
     (("solve", "--s", "1"), [1.0, 1.0], "0.000000e+00"),
     (("tune",), [1.0, 1.0], "0.000000e+00"),
     (("solve", "--s", "1"), [-1.0, 1.0], "inf"),
+    (("lemke",), [1.0, 1.0], "0.000000e+00"),
+    (("lemke",), [-1.0, 1.0], "inf"),
 ])
 def test_zero_ground_truth_error(tmp_path, capsys, argv, q, err):
     # x* = 0 solves the instance when q >= 0; with q_1 < 0 it does not,
@@ -216,6 +218,22 @@ def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
         assert "termination: line_search_failed" in capsys.readouterr().out
 
 
+def test_iteration_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # the run gave up, as after a failed line search: M = -1, q = -1 has
+    # no solution, so no tuning round is accepted
+    none = write_instance(tmp_path, [[-1.0]], [-1.0], name="none.txt")
+    assert main(["tune", "--instance", none]) == 2
+    assert "termination: iteration_cap\n" in capsys.readouterr().out
+    monkeypatch.setattr(nhtp, "_MAX_ITER", 1)
+    monkeypatch.setattr(nhtp, "_TOL", 0.0)
+    path = gen_planted(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", "--instance", path, "--s", "2"]) == 2
+    out = capsys.readouterr().out
+    assert "termination: iteration_cap\n" in out
+    assert "iterations:  1\n" in out
+
+
 def test_tune_solves_a_huge_q_without_warnings(tmp_path, capsys):
     # M = I, q = (-1e200, -1e200): f(0) overflows in the units of the
     # file; the solver divides q by 1e200 and solves it quietly
@@ -288,7 +306,7 @@ def test_lemke_subcommand_and_ray_exit(tmp_path, capsys):
     path = gen_planted(tmp_path)
     assert main(["lemke", "--instance", path]) == 0
     out = capsys.readouterr().out
-    assert "pivots:" in out and "f2:" in out
+    assert "pivots:" in out and "f2:" in out and "rel_error:" in out
     ray = write_instance(tmp_path, [[-1.0]], [-1.0], name="ray.txt")
     assert main(["lemke", "--instance", ray]) == 2
     assert "ray termination" in capsys.readouterr().err
@@ -304,8 +322,8 @@ def test_reports_print_only_the_true_support(tmp_path, capsys, argv, seed):
     # round-off is not printed as nonzeros, only the two planted entries
     # are.  Tableau.solution already zeroes a Lemke point's round-off, so
     # the lemke case only checks that x prints its two planted entries;
-    # test_point_certificate_is_that_of_the_trimmed_point covers trimming
-    # a Lemke point
+    # test_point_certificate_is_that_of_the_trimmed_point covers the
+    # trimming every subcommand's point goes through
     path = str(tmp_path / "planted.txt")
     assert main(["gen", "--example", "sdp_gaussian", "--n", "200",
                  "--seed", str(seed), "--out", path]) == 0
@@ -321,15 +339,16 @@ def test_reports_print_only_the_true_support(tmp_path, capsys, argv, seed):
 
 
 def test_point_certificate_is_that_of_the_trimmed_point(capsys):
-    # lemke hands its y = M x + q to _print_point; when an entry of x is
-    # round-off and is trimmed, the certificate is that of the trimmed
-    # point, whose y is formed again: 0 here, where the y of the untrimmed
-    # point would read 1e-12
+    # an entry of x that is round-off is trimmed, and the certificate is
+    # that of the trimmed point: 0 here, where the untrimmed point would
+    # read 1e-12
     inst = LcpInstance(np.ones((2, 2)), np.array([-1.0, -1.0]))
-    x = np.array([1.0, 1e-12])
-    kept = cli._print_point(inst, x, inst.M @ x + inst.q)
-    assert kept.tolist() == [1.0, 0.0]
-    assert "certificate: 0.000000e+00\n" in capsys.readouterr().out
+    cli._print_point(inst, np.array([1.0, 1e-12]))
+    out = capsys.readouterr().out
+    assert "certificate: 0.000000e+00\n" in out
+    assert "nonzeros:    1\n" in out
+    assert [ln for ln in out.splitlines() if ln.startswith("x[")] == \
+        [f"x[1] = {_fmt(1.0)}"]
 
 
 def test_lemke_pivot_limit_exit(tmp_path, capsys, monkeypatch):
